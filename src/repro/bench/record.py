@@ -13,10 +13,7 @@ backing shards are unchanged since their last recording).
 parallel/cached series are bit-identical — the determinism guarantee CI
 leans on.  ``--engine dag`` (or ``auto``) evaluates points on the analytic
 DAG fast path instead of the event loop — bit-identical results, several
-times faster on planner-backed sweeps; ``--engine native`` replays the
-same lowered programs in the numba-JIT kernel (bit-identical to DAG,
-another order of magnitude when numba is installed, transparent DAG
-fallback when it is not); ``--engine batch`` evaluates whole
+times faster on planner-backed sweeps; ``--engine batch`` evaluates whole
 message-size columns in one vectorized pass (bit-identical again, another
 multiple faster on dense axes; ``auto`` picks it by itself for
 planner-backed multi-size columns); ``--cache-stats`` reports cache
@@ -85,11 +82,11 @@ def main(argv=None) -> int:
         "--engine", default=None, choices=ENGINES,
         help="evaluation engine for every point: the coroutine event loop "
              "(authoritative), the DAG fast path (bit-identical, "
-             "planner-backed pairs only), native (bit-identical; the "
-             "numba-JIT replay kernel, DAG fallback without numba), "
-             "batch (bit-identical; whole size columns in one vectorized "
-             "pass), or auto (batch for planner-backed multi-size "
-             "columns, native/DAG for the rest of its coverage); "
+             "planner-backed pairs only), batch (bit-identical; whole "
+             "size columns in one vectorized pass), analytic "
+             "(closed-form estimates, approximate), or auto (batch for "
+             "planner-backed multi-size columns, DAG for the rest of its "
+             "coverage, event otherwise); "
              "default: PIPMCOLL_ENGINE or each point's own setting",
     )
     parser.add_argument(
@@ -238,11 +235,6 @@ def main(argv=None) -> int:
         emit(
             f"   [batch lowering: {lo['hits']} hits, {lo['misses']} misses "
             f"across {lo['columns']} column work units]"
-        )
-        emit(
-            f"   [native batch: {lo['jit_columns']} jit / "
-            f"{lo['interp_columns']} interp kernel columns, "
-            f"{lo['native_bailouts']} bailouts]"
         )
     return 0
 

@@ -50,13 +50,25 @@ def _col_width(values: List[str]) -> int:
     return max(len(v) for v in values)
 
 
+def _fmt_value(series: str, value: float) -> str:
+    """A series named with a bracketed unit (``msgrate_4kB[msg/s]``) is
+    not a time: its header already carries the unit, so the value prints
+    bare.  Every other series is simulated seconds."""
+    if series.endswith("]") and "[" in series:
+        return f"{value:.3f}"
+    return fmt_time(value)
+
+
 def format_table(result: FigureResult) -> str:
-    """Absolute simulated times, one row per x, one column per library."""
+    """Absolute values, one row per x, one column per library: simulated
+    times, or plain numbers for series that name their own unit."""
     libs = list(result.series)
     header = [result.xlabel] + libs
     rows = []
     for i, x in enumerate(result.xs):
-        rows.append([str(x)] + [fmt_time(result.series[lib][i]) for lib in libs])
+        rows.append(
+            [str(x)] + [_fmt_value(lib, result.series[lib][i]) for lib in libs]
+        )
     widths = [
         _col_width([header[c]] + [r[c] for r in rows]) for c in range(len(header))
     ]

@@ -44,7 +44,7 @@ class Point:
     #: evaluation engine (see repro.bench.microbench.ENGINES).  Part of the
     #: cache key: ``auto`` may resolve differently as fast-path coverage
     #: grows, so engines never share cached entries even though ``dag``
-    #: and ``native`` are bit-identical by construction.
+    #: and ``batch`` are bit-identical by construction.
     engine: str = "event"
 
     def resolved_params(self) -> MachineParams:

@@ -34,7 +34,8 @@ from repro.sched.fastpath import fastpath_supported
 
 __all__ = [
     "SweepRunner", "default_runner", "run_points", "run_point_spec",
-    "run_sweep_column", "run_sweep_column_stats", "plan_column_routes",
+    "run_sweep_column", "run_sweep_column_stats", "merge_lowering_delta",
+    "plan_column_routes",
 ]
 
 _ENV_JOBS = "PIPMCOLL_JOBS"
@@ -69,32 +70,17 @@ def run_point_spec(point: Point) -> MicrobenchResult:
 
 
 def _evaluate_sweep_column(points: Sequence[Point]):
-    """Evaluate one column work unit; returns the raw ``ColumnResult``.
-
-    Explicit ``engine="batch"`` points stay on the pure-Python batch
-    engine; ``"native-batch"`` and upgraded ``"auto"`` columns replay on
-    the native vector-clock kernel whenever it is usable
-    (:func:`repro.sched.native_batch.native_batch_available` — numba
-    importable and ``PIPMCOLL_NO_NATIVE`` unset), and fall back to the
-    pure batch engine otherwise.  Bit-identical either way.
-    """
+    """Evaluate one column work unit on the batch engine; returns the raw
+    ``ColumnResult``."""
     first = points[0]
     # fail fast with run_point's exact semantics (it refuses measure < 1
     # up front) instead of tripping a ZeroDivisionError — or an engine
     # internal error — deep inside a pool worker
     if first.measure < 1:
         raise ValueError("need at least one measured iteration")
+    from repro.sched.batch import evaluate_column
 
-    evaluate = None
-    if first.engine != "batch":
-        from repro.sched.native_batch import native_batch_available
-
-        if native_batch_available():
-            from repro.sched.native_batch import evaluate_column as evaluate
-    if evaluate is None:
-        from repro.sched.batch import evaluate_column as evaluate
-
-    return evaluate(
+    return evaluate_column(
         first.library,
         first.collective,
         first.nodes,
@@ -142,7 +128,7 @@ def run_sweep_column_stats(
     points: Sequence[Point],
 ) -> Tuple[List[MicrobenchResult], Dict]:
     """Pool worker: :func:`run_sweep_column` plus this work unit's lowering
-    and kernel counters.
+    counters.
 
     Pool workers are separate processes, so the parent's
     ``planner_cache_info()["batch_lowering"]`` counters never see column
@@ -150,10 +136,7 @@ def run_sweep_column_stats(
     snapshots the per-process counters around the column pass and ships
     the *delta* home in the result payload, so the runner can aggregate
     lowering hits/misses across every work unit of the sweep regardless
-    of which process ran it.  The delta also carries the column's
-    ``kernel_mode`` (``""`` for the pure-Python batchline, ``"jit"`` /
-    ``"interp"`` for the native kernel) and its ``native_bailouts``
-    count, aggregated the same way.
+    of which process ran it (see :func:`merge_lowering_delta`).
     """
     from repro.sched.batch import lowering_cache_info
 
@@ -163,10 +146,18 @@ def run_sweep_column_stats(
     delta = {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
-        "kernel_mode": col.stats.kernel_mode,
-        "native_bailouts": col.stats.native_bailouts,
     }
     return _column_results(points, col), delta
+
+
+def merge_lowering_delta(totals: Dict[str, int], delta: Dict[str, int]) -> None:
+    """Fold one column work unit's counter delta (the second half of
+    :func:`run_sweep_column_stats`'s payload) into ``totals`` — a
+    ``{"hits", "misses", "columns"}`` dict.  Shared by
+    :class:`SweepRunner` and the :mod:`repro.serve` daemon."""
+    totals["hits"] += delta["hits"]
+    totals["misses"] += delta["misses"]
+    totals["columns"] += 1
 
 
 def _column_group_key(point: Point) -> Tuple:
@@ -181,8 +172,8 @@ def _column_group_key(point: Point) -> Tuple:
 def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """Indices of column-routed points, grouped by column.
 
-    A point rides a column when its engine is ``"batch"`` or
-    ``"native-batch"`` explicitly, or when it is ``"auto"``, the pair is
+    A point rides a column when its engine is ``"batch"`` explicitly, or
+    when it is ``"auto"``, the pair is
     planner-backed, and at least one other point shares its column with a
     different size — the regime where the vectorized pass pays for
     itself.  Shared by
@@ -193,7 +184,7 @@ def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """
     groups: Dict[Tuple, List[int]] = {}
     for i, p in enumerate(points):
-        if p.engine in ("batch", "native-batch") or (
+        if p.engine == "batch" or (
             p.engine == "auto"
             and fastpath_supported(p.library, p.collective)
         ):
@@ -201,7 +192,7 @@ def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     return {
         key: idxs
         for key, idxs in groups.items()
-        if points[idxs[0]].engine in ("batch", "native-batch")
+        if points[idxs[0]].engine == "batch"
         or len({points[i].msg_bytes for i in idxs}) > 1
     }
 
@@ -250,10 +241,9 @@ class SweepRunner:
         ``progress(done, total, point, source)`` callback; ``None`` reads
         ``PIPMCOLL_PROGRESS`` and, when set, prints to stderr.
     engine:
-        Force every point onto one evaluation engine (``"event"``,
-        ``"dag"``, ``"native"``, ``"batch"`` or ``"auto"``); ``None``
-        reads ``PIPMCOLL_ENGINE`` and,
-        when that is unset too, leaves each point's own ``engine`` field
+        Force every point onto one evaluation engine (one of
+        :data:`~repro.bench.microbench.ENGINES`); ``None`` reads
+        ``PIPMCOLL_ENGINE`` and, when that is unset too, leaves each point's own ``engine`` field
         alone.  The override rewrites the points before the cache pass, so
         it is part of the cache key like any other spec field.
     """
@@ -281,22 +271,16 @@ class SweepRunner:
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.engine = engine
-        #: lowering-cache and native-kernel counters summed over every
-        #: column work unit this runner executed (pool or serial); see
+        #: lowering-cache counters summed over every column work unit
+        #: this runner executed (pool or serial); see
         #: run_sweep_column_stats
-        self._lowering_totals = {
-            "hits": 0, "misses": 0, "columns": 0,
-            "jit_columns": 0, "interp_columns": 0, "native_bailouts": 0,
-        }
+        self._lowering_totals = {"hits": 0, "misses": 0, "columns": 0}
 
     def lowering_cache_totals(self) -> Dict[str, int]:
         """Batch-lowering hits/misses aggregated across all column work
         units run by this runner — survives the process pool, unlike the
-        in-process ``planner_cache_info()["batch_lowering"]`` counters.
-        ``jit_columns``/``interp_columns`` count the work units whose
-        vector passes ran on the native kernel (by tier), and
-        ``native_bailouts`` the passes the kernel handed back to the
-        pure-Python batchline."""
+        in-process ``planner_cache_info()["batch_lowering"]`` counters;
+        ``columns`` counts the work units."""
         return dict(self._lowering_totals)
 
     # -- execution -------------------------------------------------------
@@ -384,15 +368,7 @@ class SweepRunner:
                 for idxs, group, (col_results, lower_delta) in zip(
                     col_pending.values(), groups, computed_cols
                 ):
-                    self._lowering_totals["hits"] += lower_delta["hits"]
-                    self._lowering_totals["misses"] += lower_delta["misses"]
-                    self._lowering_totals["columns"] += 1
-                    mode = lower_delta.get("kernel_mode") or ""
-                    if mode:
-                        self._lowering_totals[f"{mode}_columns"] += 1
-                    self._lowering_totals["native_bailouts"] += (
-                        lower_delta.get("native_bailouts", 0)
-                    )
+                    merge_lowering_delta(self._lowering_totals, lower_delta)
                     if self.use_cache:
                         self.cache.put_many(group, col_results)
                     for i, result in zip(idxs, col_results):

@@ -67,6 +67,7 @@ from repro.bench.runner.cache import ResultCache, cache_key, column_key
 from repro.bench.runner.points import Point
 from repro.bench.runner.pool import (
     _default_jobs,
+    merge_lowering_delta,
     plan_column_routes,
     run_point_spec,
     run_sweep_column_stats,
@@ -169,12 +170,9 @@ class SweepDaemon:
         #: work-unit key -> in-flight evaluation task (the coalescing
         #: table; see module docstring)
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: lowering-cache and native-kernel deltas shipped home by column
-        #: work units (see run_sweep_column_stats)
-        self._lowering = {
-            "hits": 0, "misses": 0, "columns": 0,
-            "jit_columns": 0, "interp_columns": 0, "native_bailouts": 0,
-        }
+        #: lowering-cache deltas shipped home by column work units (see
+        #: run_sweep_column_stats)
+        self._lowering = {"hits": 0, "misses": 0, "columns": 0}
         self._active = 0
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -497,13 +495,7 @@ class SweepDaemon:
         col_results, delta = await self._run_in_pool(
             run_sweep_column_stats, group
         )
-        self._lowering["hits"] += delta["hits"]
-        self._lowering["misses"] += delta["misses"]
-        self._lowering["columns"] += 1
-        mode = delta.get("kernel_mode") or ""
-        if mode:
-            self._lowering[f"{mode}_columns"] += 1
-        self._lowering["native_bailouts"] += delta.get("native_bailouts", 0)
+        merge_lowering_delta(self._lowering, delta)
         for point, result in zip(group, col_results):
             self.cache.put(point, result)
         return col_results

@@ -127,6 +127,18 @@ class TestReport:
             assert lib in text
         assert "1.000us" in text and "3.000us" in text
 
+    def test_format_table_prints_rate_series_without_time_unit(self):
+        # fig01's series are rates whose unit is in the series name
+        rates = FigureResult(
+            fig_id="fig01", title="rates", xlabel="pairs", xs=[1],
+            series={"msgrate_4kB[msg/s]": [3037725.465],
+                    "throughput_128kB[B/s]": [0.5]},
+        )
+        text = format_table(rates)
+        assert "3037725.465" in text and "0.500" in text
+        assert "3037725.465s" not in text
+        assert "ms" not in text.splitlines()[-1]
+
     def test_format_normalized_ratios(self, figure):
         text = format_normalized(figure)
         assert "2.00x" in text  # Other at 16B

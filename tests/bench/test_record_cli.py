@@ -112,3 +112,9 @@ def test_unknown_figure_rejected(capsys):
 def test_unknown_scale_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["--figures", "fig06", "--scale", "galactic"])
+    # the removed JIT replay engines fail in argparse, before any sweep
+    for engine in ("native", "native-batch"):
+        with pytest.raises(SystemExit) as err:
+            main(["--figures", "fig06", "--scale", "small",
+                  "--engine", engine])
+        assert err.value.code == 2

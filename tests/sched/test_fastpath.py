@@ -102,8 +102,12 @@ def test_auto_resolves_to_dag_only_where_supported():
     # tracing always needs the event loop
     assert resolve_engine("auto", "PiP-MColl", "allreduce", tracing=True) \
         == "event"
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("fast", "PiP-MColl", "allreduce")
+    # "native"/"native-batch" were JIT replay tiers, since removed
+    for name in ("fast", "native", "native-batch"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(name, "PiP-MColl", "allreduce")
+        with pytest.raises(ValueError, match=f"unknown engine '{name}'"):
+            run_point("PiP-MColl", "allreduce", 2, 2, 512, engine=name)
 
 
 def test_fastpath_supported_matches_registry():

@@ -62,18 +62,20 @@ def test_malformed_point_spec_raises_bad_request():
     assert err.value.code == "bad-request"
 
 
-def test_unknown_engine_rejected_at_the_front_door():
+@pytest.mark.parametrize("engine", ["fast", "native", "native-batch"])
+def test_unknown_engine_rejected_at_the_front_door(engine):
     """Engine names are validated once, at the daemon entry, with the
     same message the SweepRunner constructor uses — a bad name must not
-    surface as an ``internal`` error from deep inside a worker."""
+    surface as an ``internal`` error from deep inside a worker
+    (``native``/``native-batch`` are the removed JIT replay tiers)."""
     doc = {
         "library": "PiP-MColl", "collective": "allreduce",
-        "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": "fast",
+        "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": engine,
     }
     with pytest.raises(ServeError) as err:
         point_from_doc(doc)
     assert err.value.code == "bad-request"
-    assert "unknown engine 'fast'" in err.value.message
+    assert f"unknown engine {engine!r}" in err.value.message
     assert "known:" in err.value.message
 
 
