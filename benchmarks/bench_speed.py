@@ -1,4 +1,4 @@
-"""Engine speed benchmark: event loop vs DAG fast path vs batch engine.
+"""Engine speed benchmark: event loop vs DAG fast path, plus column modes.
 
 Times ``repro.bench.microbench.run_point`` wall-clock for both scalar
 engines on a fixed planner-backed grid, asserts the results are
@@ -6,18 +6,15 @@ bit-identical, and records per-point and aggregate speedups in
 ``BENCH_fastpath.json`` at the repository root — the provenance for the
 numbers quoted in DESIGN.md.
 
-``--batch`` switches to the column benchmark: full message-size axes
-(eighth-octave, 16 B to 512 KB — 121 sizes) on representative registry
-columns, timed through the event loop (per point), the DAG engine (per
-point) and the batch engine (one ``evaluate_column`` call), with
-bit-identity asserted per (point, size).  Per-column and aggregate
-points/sec land in ``BENCH_batch.json``.
+The column modes (``--analytic``, ``--store``, ``--serve``) sweep full
+message-size axes (eighth-octave, 16 B to 512 KB — 121 sizes) on
+representative registry columns.
 
 Every rep is a complete fresh evaluation (world construction included);
 ``best-of-N`` wall times are reported because the shared CI boxes are
-noisy.  Planner ``lru_cache``s — and, for the batch engine, the lowering
-cache — are warm after the first rep on both sides, the same steady state
-a figure sweep runs in.
+noisy.  Planner ``lru_cache``s and the schedule-lowering cache are warm
+after the first rep on both sides, the same steady state a figure sweep
+runs in.
 
 Usage::
 
@@ -25,10 +22,6 @@ Usage::
     python benchmarks/bench_speed.py --smoke         # CI gate: tiny grid,
                                                      # exit 1 unless the DAG
                                                      # engine is faster
-    python benchmarks/bench_speed.py --batch         # column grid -> JSON
-    python benchmarks/bench_speed.py --batch --smoke # CI gate: one column,
-                                                     # exit 1 unless batch
-                                                     # beats dag
     python benchmarks/bench_speed.py --store         # cached-column read
                                                      # throughput, shards vs
                                                      # per-file JSON ->
@@ -80,10 +73,10 @@ SMOKE_GRID = (
     ("PiP-MPICH", "allgather", 2, 4, 4096),
 )
 
-#: (library, collective, nodes, ppn) — the column benchmark sweeps the
-#: full size axis for each of these.  One column per registry library,
-#: plus the collective spread on the paper's own library.
-BATCH_COLUMNS = (
+#: (library, collective, nodes, ppn) — the column modes sweep the full
+#: size axis for each of these.  One column per registry library, plus
+#: the collective spread on the paper's own library.
+COLUMNS = (
     ("PiP-MColl", "scatter", 4, 8),
     ("PiP-MColl", "allgather", 4, 8),
     ("PiP-MColl", "allreduce", 4, 8),
@@ -91,12 +84,12 @@ BATCH_COLUMNS = (
     ("OpenMPI", "allgather", 2, 16),
 )
 
-#: eighth-octave axis, 16 B .. 512 KB — denser than any figure needs, the
-#: regime the batch engine exists for (121 sizes, one pass)
-BATCH_AXIS = tuple(sorted({int(16 * 2 ** (k / 8)) for k in range(121)}))
+#: eighth-octave axis, 16 B .. 512 KB — denser than any figure needs
+#: (121 sizes)
+AXIS = tuple(sorted({int(16 * 2 ** (k / 8)) for k in range(121)}))
 
-BATCH_SMOKE_COLUMNS = (("PiP-MColl", "allgather", 2, 4),)
-BATCH_SMOKE_AXIS = tuple(sorted({int(16 * 2 ** (k / 4)) for k in range(33)}))
+SMOKE_COLUMNS = (("PiP-MColl", "allgather", 2, 4),)
+SMOKE_AXIS = tuple(sorted({int(16 * 2 ** (k / 4)) for k in range(33)}))
 
 
 def parse_columns(text: str):
@@ -162,64 +155,17 @@ def run_grid(grid, reps: int):
 
 def _time_column(spec, axis, engine: str, reps: int):
     """Best-of-``reps`` wall seconds for one full-axis column sweep."""
-    from repro.sched.batch import evaluate_column
-
     lib, coll, nodes, ppn = spec
     best = float("inf")
     results = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        if engine == "batch":
-            col = evaluate_column(lib, coll, nodes, ppn, axis)
-            results = {
-                s: (r.samples, r.internode_messages)
-                for s, r in col.results.items()
-            }
-        else:
-            results = {}
-            for s in axis:
-                r = run_point(lib, coll, nodes, ppn, s, engine=engine)
-                results[s] = (r.samples, r.internode_messages)
+        results = {}
+        for s in axis:
+            r = run_point(lib, coll, nodes, ppn, s, engine=engine)
+            results[s] = (r.samples, r.internode_messages)
         best = min(best, time.perf_counter() - t0)
     return best, results
-
-
-def run_batch_grid(columns, axis, reps: int, with_event: bool):
-    """Time every column on each engine; returns (rows, mismatch specs)."""
-    rows = []
-    mismatches = []
-    for spec in columns:
-        lib, coll, nodes, ppn = spec
-        dag_s, dag_res = _time_column(spec, axis, "dag", reps)
-        batch_s, batch_res = _time_column(spec, axis, "batch", reps)
-        bad = [s for s in axis if batch_res[s] != dag_res[s]]
-        if bad:
-            mismatches.append((spec, bad))
-        row = {
-            "library": lib,
-            "collective": coll,
-            "nodes": nodes,
-            "ppn": ppn,
-            "sizes": len(axis),
-            "dag_s": dag_s,
-            "batch_s": batch_s,
-            "batch_vs_dag": dag_s / batch_s,
-        }
-        line = (
-            f"  {lib:>15} {coll:<9} {nodes}x{ppn:<2} {len(axis)} sizes  "
-            f"dag {dag_s * 1e3:8.1f}ms  batch {batch_s * 1e3:8.1f}ms  "
-            f"{dag_s / batch_s:5.2f}x"
-        )
-        if with_event:
-            event_s, event_res = _time_column(spec, axis, "event", reps)
-            if any(event_res[s] != dag_res[s] for s in axis):
-                mismatches.append((spec, ["event-vs-dag"]))
-            row["event_s"] = event_s
-            row["batch_vs_event"] = event_s / batch_s
-            line += f"  ({event_s / batch_s:5.1f}x vs event)"
-        rows.append(row)
-        print(line, flush=True)
-    return rows, mismatches
 
 
 def _time_analytic_column(spec, axis, reps: int):
@@ -248,8 +194,8 @@ def run_analytic_mode(args) -> int:
     if args.columns:
         columns = parse_columns(args.columns)
     else:
-        columns = BATCH_SMOKE_COLUMNS if args.smoke else BATCH_COLUMNS
-    axis = BATCH_SMOKE_AXIS if args.smoke else BATCH_AXIS
+        columns = SMOKE_COLUMNS if args.smoke else COLUMNS
+    axis = SMOKE_AXIS if args.smoke else AXIS
     reps = args.reps if args.reps is not None else (2 if args.smoke else 3)
     print(
         f"analytic speed: {len(columns)} columns x {len(axis)} sizes, "
@@ -347,7 +293,7 @@ STORE_SMOKE_COLUMN = ("PiP-MColl", "allgather", 2, 4)
 def run_store_mode(args) -> int:
     """``--store``: cached-column read throughput, shards vs per-file JSON.
 
-    Evaluates one full-axis column once (batch engine), persists it both
+    Evaluates one full-axis column once (DAG engine), persists it both
     ways — the columnar shard store and the pre-1.4.0 one-JSON-file-per-
     point layout (reconstructed locally as the baseline; the production
     JSON fallback was removed in 1.5.0) — then times reading every point
@@ -379,11 +325,11 @@ def run_store_mode(args) -> int:
         path.write_bytes(json.dumps(doc, separators=(",", ":")).encode())
 
     spec = STORE_SMOKE_COLUMN if args.smoke else STORE_COLUMN
-    axis = BATCH_SMOKE_AXIS if args.smoke else BATCH_AXIS
+    axis = SMOKE_AXIS if args.smoke else AXIS
     reps = args.reps if args.reps is not None else (3 if args.smoke else 5)
     lib, coll, nodes, ppn = spec
     points = [
-        Point(lib, coll, nodes, ppn, s, engine="batch") for s in axis
+        Point(lib, coll, nodes, ppn, s, engine="auto") for s in axis
     ]
     print(
         f"store speed: {lib} {coll} {nodes}x{ppn}, {len(axis)}-size axis, "
@@ -483,7 +429,7 @@ def run_store_mode(args) -> int:
         "python": sys.version.split()[0],
         "reps": reps,
         "protocol": (
-            "one full-axis column evaluated once (batch engine), persisted "
+            "one full-axis column evaluated once (DAG engine), persisted "
             "as columnar npz shards and as the legacy one-JSON-file-per-"
             "point layout; best-of-reps wall time reading every point back "
             "through a cold cache object per rep; bit-identical read-back "
@@ -516,7 +462,7 @@ from repro.serve.protocol import result_to_doc
 lib, coll = sys.argv[1], sys.argv[2]
 nodes, ppn = int(sys.argv[3]), int(sys.argv[4])
 points = [
-    Point(lib, coll, nodes, ppn, int(s), engine="batch")
+    Point(lib, coll, nodes, ppn, int(s), engine="auto")
     for s in sys.argv[5].split(",")
 ]
 results = SweepRunner(jobs=1, use_cache=False).run(points)
@@ -546,11 +492,11 @@ def run_serve_mode(args) -> int:
     from repro.serve.protocol import result_from_doc
 
     spec = SERVE_SMOKE_COLUMN if args.smoke else SERVE_COLUMN
-    axis = BATCH_SMOKE_AXIS if args.smoke else BATCH_AXIS
+    axis = SMOKE_AXIS if args.smoke else AXIS
     reps = args.reps if args.reps is not None else (3 if args.smoke else 5)
     lib, coll, nodes, ppn = spec
     points = [
-        Point(lib, coll, nodes, ppn, s, engine="batch") for s in axis
+        Point(lib, coll, nodes, ppn, s, engine="auto") for s in axis
     ]
     print(
         f"serve speed: {lib} {coll} {nodes}x{ppn}, {len(axis)}-size axis, "
@@ -682,113 +628,12 @@ def run_serve_mode(args) -> int:
     return 0
 
 
-def run_batch_mode(args) -> int:
-    if args.columns:
-        columns = parse_columns(args.columns)
-    else:
-        columns = BATCH_SMOKE_COLUMNS if args.smoke else BATCH_COLUMNS
-    axis = BATCH_SMOKE_AXIS if args.smoke else BATCH_AXIS
-    reps = args.reps if args.reps is not None else (2 if args.smoke else 3)
-    with_event = not args.smoke
-    print(
-        f"column speed: {len(columns)} columns x {len(axis)} sizes, "
-        f"best of {reps} reps each"
-    )
-    rows, mismatches = run_batch_grid(columns, axis, reps, with_event)
-
-    if mismatches:
-        print(f"FAIL: engines disagree on {len(mismatches)} columns:")
-        for spec, bad in mismatches:
-            print(f"  {spec}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
-        return 1
-
-    npoints = sum(r["sizes"] for r in rows)
-    dag_total = sum(r["dag_s"] for r in rows)
-    batch_total = sum(r["batch_s"] for r in rows)
-    ratios = [r["batch_vs_dag"] for r in rows]
-    aggregate = {
-        "points": npoints,
-        "dag_points_per_sec": npoints / dag_total,
-        "batch_points_per_sec": npoints / batch_total,
-        "batch_vs_dag": dag_total / batch_total,
-        "per_column_min": min(ratios),
-        "per_column_median": statistics.median(ratios),
-        "per_column_max": max(ratios),
-    }
-    if with_event:
-        event_total = sum(r["event_s"] for r in rows)
-        aggregate["event_points_per_sec"] = npoints / event_total
-        aggregate["batch_vs_event"] = event_total / batch_total
-    print(
-        f"aggregate: dag {aggregate['dag_points_per_sec']:.1f} pts/s, "
-        f"batch {aggregate['batch_points_per_sec']:.1f} pts/s -> "
-        f"{aggregate['batch_vs_dag']:.2f}x vs dag "
-        f"(per-column min {aggregate['per_column_min']:.2f}x / "
-        f"median {aggregate['per_column_median']:.2f}x / "
-        f"max {aggregate['per_column_max']:.2f}x)"
-        + (
-            f"; {aggregate['batch_vs_event']:.1f}x vs event"
-            if with_event else ""
-        )
-    )
-
-    if args.smoke:
-        # same philosophy as the scalar gate: identity checked above, and
-        # a bar low enough that runner noise cannot flake the job
-        if aggregate["batch_vs_dag"] < 1.2:
-            print("FAIL: batch engine is not meaningfully faster (< 1.2x)")
-            return 1
-        if args.check_regression:
-            committed = json.loads(Path(args.check_regression).read_text())
-            floor = 0.8 * committed["aggregate"]["batch_points_per_sec"]
-            got = aggregate["batch_points_per_sec"]
-            if got < floor:
-                print(
-                    f"FAIL: batch throughput regressed: {got:.1f} pts/s on "
-                    f"the smoke column < 0.8x the committed figure "
-                    f"({committed['aggregate']['batch_points_per_sec']:.1f})"
-                )
-                return 1
-            print(
-                f"regression gate ok: {got:.1f} pts/s >= "
-                f"0.8x committed ({floor:.1f})"
-            )
-        print("smoke ok: engines identical, batch faster")
-        return 0
-
-    out = Path(args.out) if args.out else (
-        Path(__file__).resolve().parent.parent / "BENCH_batch.json"
-    )
-    doc = {
-        "benchmark": "batch-column-vs-scalar-engines",
-        "python": sys.version.split()[0],
-        "reps": reps,
-        "protocol": (
-            "best-of-reps wall time per column; axis = eighth-octave "
-            "16B..512KB (121 sizes); dag/event = one fresh run_point per "
-            "size, batch = one evaluate_column over the axis; bit-identical "
-            "samples and message counts asserted per (point, size)"
-        ),
-        "columns": rows,
-        "aggregate": aggregate,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny grid, no JSON; exit 1 unless DAG beats the event loop "
              "on aggregate and results are bit-identical (the CI gate)",
-    )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="column benchmark: full size axes, event vs dag vs batch, "
-             "-> BENCH_batch.json (with --smoke: one small column, exit 1 "
-             "unless batch beats dag)",
     )
     parser.add_argument(
         "--analytic", action="store_true",
@@ -813,15 +658,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--columns", default=None, metavar="LIB/COLL/NxP,...",
-        help="restrict the --batch/--analytic column grid, e.g. "
+        help="restrict the --analytic column grid, e.g. "
              "PiP-MColl/scatter/4x8,OpenMPI/allgather/2x16 (CI smoke "
              "uses this to run only the cheap columns)",
-    )
-    parser.add_argument(
-        "--check-regression", default=None, metavar="BENCH_batch.json",
-        help="with --batch --smoke: also fail if batch points/sec on the "
-             "smoke column drops below 0.8x the committed aggregate figure "
-             "in the given JSON",
     )
     parser.add_argument(
         "--reps", type=int, default=None,
@@ -840,8 +679,6 @@ def main(argv=None) -> int:
         return run_store_mode(args)
     if args.analytic:
         return run_analytic_mode(args)
-    if args.batch:
-        return run_batch_mode(args)
 
     grid = SMOKE_GRID if args.smoke else GRID
     reps = args.reps if args.reps is not None else (2 if args.smoke else 3)

@@ -45,7 +45,7 @@ from repro.mpi import (
     World,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "MpiLibrary",

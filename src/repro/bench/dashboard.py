@@ -1,9 +1,8 @@
 """Cross-run regression dashboard — ``python -m repro.bench.dashboard``.
 
 The repository commits one ``BENCH_*.json`` document per performance
-campaign (``BENCH_fastpath.json``, ``BENCH_batch.json``,
-``BENCH_analytic.json``, ``BENCH_store.json``,
-``BENCH_serve.json`` — all written by
+campaign (``BENCH_fastpath.json``, ``BENCH_analytic.json``,
+``BENCH_store.json``, ``BENCH_serve.json`` — all written by
 ``benchmarks/bench_speed.py``).  Each carries an ``aggregate`` block with
 a headline points-per-second figure.  This tool lines those figures up
 *across commits*: for every ``BENCH_*.json`` in the working tree it walks
@@ -40,7 +39,6 @@ __all__ = ["main", "headline_metric"]
 _PREFERRED_METRICS = (
     "warm_points_per_sec",
     "store_points_per_sec",
-    "batch_points_per_sec",
     "analytic_points_per_sec",
     "dag_points_per_sec",
 )

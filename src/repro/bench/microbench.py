@@ -40,12 +40,11 @@ COLLECTIVES = (
 )
 
 #: how a point is evaluated: the coroutine event loop (authoritative), the
-#: DAG fast path (bit-identical, planner-backed pairs only), the batch
-#: engine (bit-identical, whole size columns vectorized), the analytic
+#: DAG fast path (bit-identical, planner-backed pairs only), the analytic
 #: tier (closed-form estimates — approximate, error-bounded, never picked
-#: by ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG/batch
-#: whenever they apply, event loop otherwise)
-ENGINES = ("event", "dag", "batch", "analytic", "auto")
+#: by ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG
+#: whenever it applies, event loop otherwise)
+ENGINES = ("event", "dag", "analytic", "auto")
 
 
 def resolve_engine(
@@ -56,10 +55,9 @@ def resolve_engine(
     ``auto`` picks the DAG replay exactly when the (library, collective)
     pair is planner-backed and no tracer is attached (phantom data is
     implied: :func:`run_point` worlds are always phantom), the event loop
-    otherwise.  For a *single* point the result is always ``"event"`` or
-    ``"dag"``; the sweep runner upgrades ``auto`` columns to the batch
-    engine itself, where the whole size axis is in hand (see
-    :mod:`repro.bench.runner.pool`).
+    otherwise.  The sweep runner additionally groups planner-backed
+    ``auto`` columns into one work unit each, still evaluated per size on
+    the DAG engine (see :mod:`repro.bench.runner.pool`).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
@@ -197,11 +195,7 @@ def run_point(
     ``engine`` selects how the point is evaluated (see :data:`ENGINES`).
     ``"dag"`` replays the compiled schedule on the analytic fast path —
     bit-identical samples, no coroutines — and only covers planner-backed
-    pairs.  ``"batch"`` routes through the vectorized column engine
-    (:func:`repro.sched.batch.evaluate_column`) — same coverage and
-    bit-identity contract as ``"dag"``; a single point gains nothing over
-    it, the option exists so sweep drivers can thread one engine name end
-    to end.  ``"analytic"`` skips simulation entirely and returns the
+    pairs.  ``"analytic"`` skips simulation entirely and returns the
     closed-form estimate (approximate — see :mod:`repro.sched.analytic`
     for the error contract); ``auto`` never selects it.  Only the event
     loop can trace; ``"auto"`` degrades to it instead of raising.
@@ -223,14 +217,6 @@ def run_point(
             thresholds=thresholds,
         )
         time = fast.time
-    elif engine == "batch":
-        from repro.sched.batch import evaluate_column
-
-        fast = evaluate_column(
-            library, collective, nodes, ppn, [msg_bytes],
-            params=params, warmup=warmup, measure=measure,
-            thresholds=thresholds,
-        ).results[msg_bytes]
     elif engine == "dag":
         fast = _dag_evaluate_point(
             library, collective, nodes, ppn, msg_bytes,

@@ -13,11 +13,10 @@ backing shards are unchanged since their last recording).
 parallel/cached series are bit-identical — the determinism guarantee CI
 leans on.  ``--engine dag`` (or ``auto``) evaluates points on the analytic
 DAG fast path instead of the event loop — bit-identical results, several
-times faster on planner-backed sweeps; ``--engine batch`` evaluates whole
-message-size columns in one vectorized pass (bit-identical again, another
-multiple faster on dense axes; ``auto`` picks it by itself for
-planner-backed multi-size columns); ``--cache-stats`` reports cache
-hit/miss/byte counters at the end.
+times faster on planner-backed sweeps; ``auto`` also ships each
+planner-backed multi-size column as one work unit (one pool task, one
+store shard); ``--cache-stats`` reports cache hit/miss/byte counters at
+the end.
 
 ``--trace out.json --trace-point LIBRARY/COLLECTIVE/NBYTES`` skips the
 figure sweeps and instead records one steady-state iteration of a single
@@ -82,11 +81,9 @@ def main(argv=None) -> int:
         "--engine", default=None, choices=ENGINES,
         help="evaluation engine for every point: the coroutine event loop "
              "(authoritative), the DAG fast path (bit-identical, "
-             "planner-backed pairs only), batch (bit-identical; whole "
-             "size columns in one vectorized pass), analytic "
-             "(closed-form estimates, approximate), or auto (batch for "
-             "planner-backed multi-size columns, DAG for the rest of its "
-             "coverage, event otherwise); "
+             "planner-backed pairs only), analytic (closed-form "
+             "estimates, approximate), or auto (DAG wherever it applies, "
+             "one work unit per multi-size column, event otherwise); "
              "default: PIPMCOLL_ENGINE or each point's own setting",
     )
     parser.add_argument(
@@ -97,7 +94,7 @@ def main(argv=None) -> int:
         "--cache-stats", action="store_true",
         help="report result-store hits/misses/bytes (point- and "
              "column-level), shard count, in-memory index size, and "
-             "batch-lowering counters (aggregated across pool work "
+             "schedule-lowering counters (aggregated across column work "
              "units) after the figures",
     )
     parser.add_argument(
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
         )
         lo = runner.lowering_cache_totals()
         emit(
-            f"   [batch lowering: {lo['hits']} hits, {lo['misses']} misses "
+            f"   [schedule lowering: {lo['hits']} hits, {lo['misses']} misses "
             f"across {lo['columns']} column work units]"
         )
     return 0

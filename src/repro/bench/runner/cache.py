@@ -14,9 +14,9 @@ over a canonical JSON encoding of
 
 Every size along one figure curve shares a group, so a whole 121-size
 axis reads back with one file open instead of one ``stat`` + ``open`` +
-``json.loads`` per point — the I/O analogue of the batch engine
-evaluating the column in one pass (``benchmarks/bench_speed.py --store``
-measures the ratio into ``BENCH_store.json``).  Writes buffer in memory
+``json.loads`` per point — the I/O half of the sweep runner shipping a
+column as one work unit (``benchmarks/bench_speed.py --store`` measures
+the ratio into ``BENCH_store.json``).  Writes buffer in memory
 and flush as whole shards (:meth:`ResultCache.flush`; the sweep runner
 flushes at the end of every run), so a point-per-put sweep costs a
 handful of shard files, not thousands of JSON files.

@@ -7,17 +7,17 @@ ships point specs (not worlds — specs pickle in ~200 bytes) to a
 Serial, parallel, and cache-hit execution are bit-identical by
 construction; ``tests/bench/test_runner.py`` enforces it.
 
-Points bound for the batch engine take a different route through the same
-machinery: the runner groups them into *columns* — points identical except
-for ``msg_bytes`` — and ships each column as one work unit
-(:func:`run_sweep_column`), which evaluates the whole size axis in one
-vectorized pass (:func:`repro.sched.batch.evaluate_column`) and reads and
-writes the columnar result store one column-group shard at a time
+``auto`` points of a planner-backed pair take a different route through
+the same machinery when their column has at least two sizes: the runner
+groups them into *columns* — points identical except for ``msg_bytes`` —
+and ships each column as one work unit (:func:`run_sweep_column`), which
+evaluates every size on the DAG engine
+(:func:`repro.sched.batch.evaluate_column`) and reads and writes the
+columnar result store one column-group shard at a time
 (:meth:`~repro.bench.runner.cache.ResultCache.get_many` /
-:meth:`~repro.bench.runner.cache.ResultCache.put_many`).  ``auto`` points
-upgrade to the column route automatically when the pair is planner-backed
-and the column has at least two sizes; the batch engine's bit-identity
-contract makes the upgrade invisible in the results.
+:meth:`~repro.bench.runner.cache.ResultCache.put_many`).  A lone ``auto``
+point runs on the DAG engine too, so the route is invisible in the
+results.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def run_point_spec(point: Point) -> MicrobenchResult:
 
 
 def _evaluate_sweep_column(points: Sequence[Point]):
-    """Evaluate one column work unit on the batch engine; returns the raw
-    ``ColumnResult``."""
+    """Evaluate one column work unit; returns ``{size: FastpathResult}``."""
     first = points[0]
     # fail fast with run_point's exact semantics (it refuses measure < 1
     # up front) instead of tripping a ZeroDivisionError — or an engine
@@ -96,7 +95,7 @@ def _evaluate_sweep_column(points: Sequence[Point]):
 def _column_results(points: Sequence[Point], col) -> List[MicrobenchResult]:
     out: List[MicrobenchResult] = []
     for p in points:
-        fast = col.results[p.msg_bytes]
+        fast = col[p.msg_bytes]
         out.append(
             MicrobenchResult(
                 library=p.library,
@@ -113,13 +112,12 @@ def _column_results(points: Sequence[Point], col) -> List[MicrobenchResult]:
 
 
 def run_sweep_column(points: Sequence[Point]) -> List[MicrobenchResult]:
-    """Pool worker: evaluate one column of points in a single batch pass.
+    """Pool worker: evaluate one column of points as one work unit.
 
     ``points`` must agree on everything but ``msg_bytes`` (the runner's
-    grouping guarantees it).  Results come back in ``points`` order and
-    are bit-identical to running each point on the DAG engine — the batch
-    engine's contract (see :mod:`repro.sched.batch`).  Top-level for the
-    same pickling reason as :func:`run_point_spec`.
+    grouping guarantees it).  Results come back in ``points`` order, each
+    the DAG engine's own (see :mod:`repro.sched.batch`).  Top-level for
+    the same pickling reason as :func:`run_point_spec`.
     """
     return _column_results(points, _evaluate_sweep_column(points))
 
@@ -131,14 +129,14 @@ def run_sweep_column_stats(
     counters.
 
     Pool workers are separate processes, so the parent's
-    ``planner_cache_info()["batch_lowering"]`` counters never see column
+    ``planner_cache_info()["dag_lowering"]`` counters never see column
     work — each worker's counters die with its process.  This wrapper
-    snapshots the per-process counters around the column pass and ships
+    snapshots the per-process counters around the column and ships
     the *delta* home in the result payload, so the runner can aggregate
     lowering hits/misses across every work unit of the sweep regardless
     of which process ran it (see :func:`merge_lowering_delta`).
     """
-    from repro.sched.batch import lowering_cache_info
+    from repro.sched.fastpath import lowering_cache_info
 
     before = lowering_cache_info()
     col = _evaluate_sweep_column(points)
@@ -172,28 +170,23 @@ def _column_group_key(point: Point) -> Tuple:
 def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """Indices of column-routed points, grouped by column.
 
-    A point rides a column when its engine is ``"batch"`` explicitly, or
-    when it is ``"auto"``, the pair is
+    A point rides a column when its engine is ``"auto"``, the pair is
     planner-backed, and at least one other point shares its column with a
-    different size — the regime where the vectorized pass pays for
-    itself.  Shared by
-    :class:`SweepRunner` and the :mod:`repro.serve` daemon so both fronts
-    route identically (the bit-identity contract makes routing invisible
-    in the results, but identical routing keeps cache traffic and
-    work-unit shapes the same too).
+    different size: one pool task and one store shard per column instead
+    of per point.  Shared by :class:`SweepRunner` and the
+    :mod:`repro.serve` daemon so both fronts route identically (both
+    routes evaluate on the DAG engine, so routing is invisible in the
+    results, but identical routing keeps cache traffic and work-unit
+    shapes the same too).
     """
     groups: Dict[Tuple, List[int]] = {}
     for i, p in enumerate(points):
-        if p.engine == "batch" or (
-            p.engine == "auto"
-            and fastpath_supported(p.library, p.collective)
-        ):
+        if p.engine == "auto" and fastpath_supported(p.library, p.collective):
             groups.setdefault(_column_group_key(p), []).append(i)
     return {
         key: idxs
         for key, idxs in groups.items()
-        if points[idxs[0]].engine == "batch"
-        or len({points[i].msg_bytes for i in idxs}) > 1
+        if len({points[i].msg_bytes for i in idxs}) > 1
     }
 
 
@@ -277,9 +270,9 @@ class SweepRunner:
         self._lowering_totals = {"hits": 0, "misses": 0, "columns": 0}
 
     def lowering_cache_totals(self) -> Dict[str, int]:
-        """Batch-lowering hits/misses aggregated across all column work
+        """Schedule-lowering hits/misses aggregated across all column work
         units run by this runner — survives the process pool, unlike the
-        in-process ``planner_cache_info()["batch_lowering"]`` counters;
+        in-process ``planner_cache_info()["dag_lowering"]`` counters;
         ``columns`` counts the work units."""
         return dict(self._lowering_totals)
 
@@ -289,8 +282,8 @@ class SweepRunner:
         self, points: Sequence[Point]
     ) -> Dict[Tuple, List[int]]:
         """See :func:`plan_column_routes` — sweeps are grouped before any
-        evaluation, so a column is lowered once no matter how many sizes
-        it spans (the pool warm start)."""
+        evaluation, so a column's sizes share one worker's warm planner
+        and lowering caches."""
         return plan_column_routes(points)
 
     def run(self, points: Sequence[Point]) -> List[MicrobenchResult]:

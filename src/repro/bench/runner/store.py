@@ -20,9 +20,9 @@ per message size), so writers never rewrite existing data:
   shard for this scan and leaves it on disk for the next one;
 * **columnar** — a whole 121-size axis reads back with one file open and
   a handful of vectorized array conversions instead of one
-  ``stat``+``open``+``json.loads`` per point (the I/O analogue of the
-  batch engine; ``benchmarks/bench_speed.py --store`` measures the
-  ratio into ``BENCH_store.json``).
+  ``stat``+``open``+``json.loads`` per point (the I/O half of a column
+  work unit; ``benchmarks/bench_speed.py --store`` measures the ratio
+  into ``BENCH_store.json``).
 
 Layout::
 

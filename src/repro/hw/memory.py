@@ -17,14 +17,11 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Hashable, Set, Tuple
 
-import numpy as np
-
 from repro.hw.params import MachineParams
-from repro.sim.batchline import BatchDivergence
 from repro.sim.engine import Delay, Engine, ProcGen
 from repro.sim.resources import MultiServer
 
-__all__ = ["MemoryModel", "BatchMemory"]
+__all__ = ["MemoryModel"]
 
 
 class MemoryModel:
@@ -126,101 +123,3 @@ class MemoryModel:
     def utilisation(self) -> Tuple[float, int]:
         """(total lane-busy seconds, operations served)."""
         return self.lanes.busy_time, self.lanes.served
-
-
-class BatchMemory:
-    """Vector-over-sizes mirror of :class:`MemoryModel`.
-
-    Duck-typed for the mechanism closures (``engine``/``params``/
-    ``copy_occupy``/``reduce_occupy``/``fault_cost``), with every time a
-    ``(S,)`` array over the partition's size axis.  The ``engine`` must
-    also provide ``touch_ok`` (the batch engine's shim forwards it to the
-    timeline's conflict recorder): the lane pool is one resource for the
-    conflict check, with zero-wait reservations recorded as commuting
-    accesses.  The lane pool becomes a
-    ``(lanes, S)`` matrix of next-free times: ``argmin`` over the lane axis
-    is the vector form of the scalar heappop — when next-free times tie,
-    the lanes are indistinguishable, so replacing *a* minimum with the new
-    end time evolves the same multiset of lane times and hence the same
-    start values as the scalar heap.
-
-    Size-dependent branches (``nbytes > 0``, cold-vs-warm page faults with
-    ``nbytes == 0`` short-circuits) must be uniform across the partition;
-    mixed masks raise :class:`~repro.sim.batchline.BatchDivergence` so the
-    batch engine can split the size axis there.
-    """
-
-    def __init__(self, engine, params: MachineParams, node: int, width: int):
-        self.engine = engine
-        self.params = params
-        self.node = node
-        self.width = width
-        self._lane_free = np.zeros((params.derived_copy_lanes(), width))
-        self._lane_cols = np.arange(width)
-        self._warmed: Set[Hashable] = set()
-        self._mm_key = ("mm", node)
-
-    def _occupy(self, now, nbytes, extra_fixed, bw: float):
-        blocked = self.params.copy_latency + extra_fixed
-        if isinstance(nbytes, np.ndarray):
-            pos = nbytes > 0
-            if pos[0]:
-                if not pos.all():
-                    raise BatchDivergence(pos)
-            elif not pos.any():
-                return blocked
-            else:
-                raise BatchDivergence(pos)
-        elif nbytes <= 0:
-            return blocked
-        lanes = self._lane_free
-        service = nbytes / bw
-        lane = lanes.argmin(axis=0)
-        cols = self._lane_cols
-        prev = lanes[lane, cols]
-        start = np.maximum(prev, now)
-        end = start + service
-        lanes[lane, cols] = end
-        # two reservations that both started without waiting commute:
-        # argmin removes the same two smallest lane-free times in either
-        # order, the added end times are admit+service either way, and the
-        # blocked durations are wait-free — so the pool multiset and both
-        # return values are order-independent (see batchline docstring)
-        ok = prev <= now
-        self.engine.touch_ok(self._mm_key, True if ok.all() else ok)
-        return blocked + (end - now)
-
-    def copy_occupy(self, now, nbytes, extra_fixed=0.0):
-        """Vector :meth:`MemoryModel.copy_occupy` (same operand order)."""
-        return self._occupy(now, nbytes, extra_fixed,
-                            self.params.core_copy_bw)
-
-    def reduce_occupy(self, now, nbytes, extra_fixed=0.0):
-        """Vector :meth:`MemoryModel.reduce_occupy`."""
-        return self._occupy(now, nbytes, extra_fixed, self.params.reduce_bw)
-
-    def fault_cost(self, region: Hashable, nbytes):
-        """Vector :meth:`MemoryModel.fault_cost`.
-
-        The scalar method returns 0 for ``nbytes == 0`` *without* warming
-        the region; a partition mixing zero and nonzero counts on a cold
-        region would therefore diverge structurally (some sizes warm it,
-        some don't) and must be split.  An already-warm region costs 0
-        for every size, mixed mask or not.
-        """
-        if isinstance(nbytes, np.ndarray):
-            zero = nbytes == 0
-            if zero.all():
-                return 0.0
-            if region in self._warmed:
-                return 0.0
-            if zero.any():
-                raise BatchDivergence(~zero)
-            self._warmed.add(region)
-            pages = -(-nbytes // self.params.page_size)
-            return pages * self.params.page_fault_time
-        if nbytes == 0 or region in self._warmed:
-            return 0.0
-        self._warmed.add(region)
-        pages = -(-nbytes // self.params.page_size)
-        return pages * self.params.page_fault_time

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.hw.params import MachineParams
 from repro.sim.resources import RateLimiter, Server
 
-__all__ = ["NodeNic", "BatchNic", "BatchFabric"]
+__all__ = ["NodeNic"]
 
 
 class NodeNic:
@@ -164,122 +162,3 @@ class NodeNic:
         self.rx_bw.reset()
         self.messages_sent = 0
         self.bytes_sent = 0
-
-
-#: conflict-resource key of the shared core fabric (one per world)
-_FB_KEY = ("fb",)
-
-
-class BatchFabric:
-    """Shared core-fabric bandwidth server over the size axis.
-
-    The vector counterpart of the fabric :class:`~repro.sim.resources.Server`
-    one node hands every :class:`BatchNic`: a single FIFO next-free vector.
-    """
-
-    __slots__ = ("_next_free",)
-
-    def __init__(self, width: int):
-        self._next_free = np.zeros(width)
-
-
-class BatchNic:
-    """Vector-over-sizes mirror of :class:`NodeNic` for the batch engine.
-
-    Every scalar ``_next_free`` / ``_next_slot`` field of the inlined
-    reservation pipeline in :meth:`NodeNic.transfer` becomes an ``(S,)``
-    array over the partition's size axis; :meth:`transfer` replicates that
-    method's arithmetic operation for operation (same operand order, same
-    ``max`` placements) so each size's component is bit-identical to the
-    scalar computation.  ``np.maximum`` stands in for the scalar
-    compare-and-assign idiom — identical values for identical operands.
-
-    There is no size-dependent branch here, so no uniformity check: byte
-    counts may arrive as an int (uniform across the partition) or as an
-    ``(S,)`` integer vector and flow straight through the arithmetic.
-    Utilisation accounting (busy_time/served) is not maintained — the
-    batch engine reports samples and message counts only.
-
-    Each stage of the reservation pipeline is a resource for the
-    timeline's conflict check (``tl.touch``): the per-process injection
-    lane, the node transmit side (rate + bandwidth, always accessed
-    together), the shared fabric, and the destination receive side.
-    """
-
-    __slots__ = (
-        "params", "node", "tl", "fabric", "_inject_free", "_interval",
-        "_tx_rate_next", "_rx_rate_next", "_tx_bw_next", "_rx_bw_next",
-        "messages_sent", "_ni_keys", "_tx_key", "_rx_key",
-    )
-
-    def __init__(self, params: MachineParams, node: int, ppn: int,
-                 width: int, tl, fabric: "BatchFabric | None" = None):
-        self.params = params
-        self.node = node
-        self.tl = tl
-        self.fabric = fabric
-        self._inject_free = [np.zeros(width) for _ in range(ppn)]
-        self._interval = 1.0 / params.nic_msg_rate
-        self._tx_rate_next = np.zeros(width)
-        self._rx_rate_next = np.zeros(width)
-        self._tx_bw_next = np.zeros(width)
-        self._rx_bw_next = np.zeros(width)
-        self.messages_sent = 0
-        # conflict-resource keys, interned once (transfer is the hot path)
-        self._ni_keys = tuple(("ni", node, lr) for lr in range(ppn))
-        self._tx_key = ("tx", node)
-        self._rx_key = ("rx", node)
-
-    def transfer(self, now: np.ndarray, src_local: int, dst: "BatchNic",
-                 nbytes, dma: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """Reserve the full path for one message, vectorized over sizes.
-
-        Returns ``(inject_done, arrival)`` as ``(S,)`` arrays.  Fresh
-        arrays are built at every step — state vectors are replaced, never
-        mutated in place — so previously returned times stay valid.
-        """
-        p = self.params
-        self.messages_sent += 1
-        touch = self.tl.touch
-        touch(self._ni_keys[src_local])
-        touch(self._tx_key)
-        touch(dst._rx_key)
-        if self.fabric is not None:
-            touch(_FB_KEY)
-        # 1. per-process injection
-        service = nbytes / (p.proc_dma_bandwidth if dma else p.proc_bandwidth)
-        service = np.maximum(service, 1.0 / p.proc_msg_rate)
-        inj_start = np.maximum(now, self._inject_free[src_local])
-        inj_done = inj_start + service
-        self._inject_free[src_local] = inj_done
-        # 2. node transmit side: rate ceiling then bandwidth
-        tx_admit = np.maximum(self._tx_rate_next, inj_start)
-        self._tx_rate_next = tx_admit + self._interval
-        wire_service = nbytes / p.nic_bandwidth
-        tx_start = np.maximum(self._tx_bw_next, tx_admit)
-        tx_end = tx_start + wire_service
-        # the scalar path stores the pre-pipelining end before maxing with
-        # inj_done; replicate that exactly
-        self._tx_bw_next = tx_end
-        tx_end = np.maximum(tx_end, inj_done)
-        # 2b. oversubscribed core fabric (optional)
-        if self.fabric is not None:
-            fabric = self.fabric
-            fab_start = np.maximum(tx_start, fabric._next_free)
-            fab_end = fab_start + nbytes / p.fabric_bandwidth
-            fabric._next_free = fab_end
-            fab_end = np.maximum(fab_end, tx_end)
-            head_start, tail_end = fab_start, fab_end
-        else:
-            head_start, tail_end = tx_start, tx_end
-        # 3+4. wire + receive side
-        head_arrival = head_start + p.wire_latency
-        rx_admit = np.maximum(dst._rx_rate_next, head_arrival)
-        dst._rx_rate_next = rx_admit + dst._interval
-        rx_service = nbytes / dst.params.nic_bandwidth
-        rx_start = np.maximum(dst._rx_bw_next, rx_admit)
-        rx_end = rx_start + rx_service
-        dst._rx_bw_next = rx_end
-        arrival = tail_end + p.wire_latency
-        arrival = np.maximum(arrival, rx_end)
-        return inj_done, arrival

@@ -1,7 +1,7 @@
 """The ``engine="analytic"`` tier: closed-form column evaluation.
 
-The fourth evaluation engine.  Where ``dag`` and ``batch`` replay the
-compiled schedule exactly (bit-identical to the event loop), the analytic
+The third evaluation engine.  Where ``dag`` replays the compiled schedule
+exactly (bit-identical to the event loop), the analytic
 engine never executes a schedule at all: it lowers the registry's
 algorithm selection to the refined closed-form LogGP/Hockney cost
 expressions in :mod:`repro.models.formulas` and evaluates the whole
@@ -27,8 +27,8 @@ modelled, so counts can undercount the exact engines' totals for
 above-threshold messages.
 
 Coverage is the planner-backed registry surface
-(:func:`repro.sched.registry.registry_combinations`), same as the DAG and
-batch engines; :func:`analytic_supported` reports it.
+(:func:`repro.sched.registry.registry_combinations`), same as the DAG
+engine; :func:`analytic_supported` reports it.
 """
 
 from __future__ import annotations

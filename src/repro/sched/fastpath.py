@@ -83,6 +83,8 @@ __all__ = [
     "evaluate_tables",
     "FastpathResult",
     "FastWorld",
+    "lowering_cache_info",
+    "clear_lowering_cache",
 ]
 
 
@@ -290,24 +292,59 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
     )
 
 
+class CacheInfo(NamedTuple):
+    """``functools.CacheInfo``-compatible counters for the lowering cache."""
+
+    hits: int
+    misses: int
+    maxsize: Optional[int]
+    currsize: int
+
+
+#: lowered schedules by (id(schedule), ppn); the value keeps the schedule
+#: alive, so its id cannot be reused while the entry exists
+_LOWERED: Dict[Tuple[int, int], Tuple[Schedule, Tuple[_Compiled, ...]]] = {}
+_lower_hits = 0
+_lower_misses = 0
+
+
+def lowering_cache_info() -> CacheInfo:
+    """Counters of the process-wide schedule-lowering cache.
+
+    Surfaced through :func:`repro.sched.registry.planner_cache_info` as
+    ``"dag_lowering"``; a repeated sweep must be pure hits
+    (``tests/bench/test_runner.py`` pins this).
+    """
+    return CacheInfo(_lower_hits, _lower_misses, None, len(_LOWERED))
+
+
+def clear_lowering_cache() -> None:
+    """Drop lowered schedules and reset the counters (test isolation)."""
+    global _lower_hits, _lower_misses
+    _LOWERED.clear()
+    _lower_hits = 0
+    _lower_misses = 0
+
+
 def _compiled_for(schedule: Schedule, ppn: int) -> Tuple[_Compiled, ...]:
-    """Lower ``schedule`` for node size ``ppn``, cached on the schedule.
+    """Lower ``schedule`` for node size ``ppn``, once per process.
 
     Planner schedules are ``lru_cache``d module-level singletons, so
-    stashing the lowered form on the object (keyed by ppn, which decides
-    send locality) makes compilation a once-per-process cost.
+    caching the lowered form per (schedule, ppn) — ppn decides send
+    locality — makes compilation a once-per-process cost.
     """
-    cache = getattr(schedule, "_fastpath_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(schedule, "_fastpath_cache", cache)
-    compiled = cache.get(ppn)
-    if compiled is None:
-        compiled = tuple(
-            _compile_program(prog, i, ppn)
-            for i, prog in enumerate(schedule.programs)
-        )
-        cache[ppn] = compiled
+    global _lower_hits, _lower_misses
+    key = (id(schedule), ppn)
+    hit = _LOWERED.get(key)
+    if hit is not None:
+        _lower_hits += 1
+        return hit[1]
+    _lower_misses += 1
+    compiled = tuple(
+        _compile_program(prog, i, ppn)
+        for i, prog in enumerate(schedule.programs)
+    )
+    _LOWERED[key] = (schedule, compiled)
     return compiled
 
 
@@ -338,17 +375,13 @@ class _Req:
     event collapses to ``done``/``value``/``waiter`` fields.
     """
 
-    __slots__ = ("kind", "done", "value", "waiter", "t", "wt")
+    __slots__ = ("kind", "done", "value", "waiter")
 
     def __init__(self, kind: str):
         self.kind = kind
         self.done = False
         self.value = None
         self.waiter = None
-        # batch-engine max-resume stamps (unused by the scalar engines):
-        # completion-time vector and waiter's wait-reach-time vector
-        self.t = None
-        self.wt = None
 
 
 class _Msg:
@@ -356,7 +389,7 @@ class _Msg:
 
     __slots__ = (
         "src", "dst", "tag", "nbytes", "src_buffer_id",
-        "intranode", "rendezvous", "unexpected", "src_local", "sreq", "t",
+        "intranode", "rendezvous", "unexpected", "src_local", "sreq",
     )
 
     def __init__(self, src, dst, tag, nbytes, src_buffer_id, intranode,
@@ -371,25 +404,16 @@ class _Msg:
         self.unexpected = False
         self.src_local = src_local
         self.sreq = sreq
-        # batch-engine arrival-time vector (unused by the scalar engines)
-        self.t = None
 
 
 class _Counter:
     """Shared-counter state: value + ordered ``(threshold, event)`` waiters."""
 
-    __slots__ = ("value", "waiters", "adds", "tmax", "sorted_ok")
+    __slots__ = ("value", "waiters")
 
     def __init__(self) -> None:
         self.value = 0
         self.waiters: list = []
-        # batch-engine add log: (fire-time vector, n) per add, for exact
-        # per-size threshold-crossing times (unused by the scalar engines);
-        # ``tmax``/``sorted_ok`` track whether the log is elementwise
-        # non-decreasing, in which case crossings need no per-size sort
-        self.adds: list = []
-        self.tmax = None
-        self.sorted_ok = True
 
 
 class FastWorld:

@@ -196,13 +196,13 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_allgather_ring,
     )
     info = {fn.__name__: fn.cache_info() for fn in planners}
-    # the batch engine's lowering cache is the same kind of animal — one
-    # compiled artifact per structural signature, re-use counted — so it
-    # reports through the same window (lazy import: the registry must not
-    # pull in the engine stack)
-    from repro.sched.batch import lowering_cache_info
+    # the DAG engine's lowering cache is the same kind of animal — one
+    # compiled artifact per schedule, re-use counted — so it reports
+    # through the same window (lazy import: the registry must not pull in
+    # the engine stack)
+    from repro.sched.fastpath import lowering_cache_info
 
-    info["batch_lowering"] = lowering_cache_info()
+    info["dag_lowering"] = lowering_cache_info()
     return info
 
 

@@ -8,7 +8,7 @@ direction asks for:
 
 * **one warm process** owns a single :class:`~repro.bench.runner.cache.
   ResultCache`/:class:`~repro.bench.runner.store.ShardStore` plus the
-  process-wide planner and batch-lowering caches, and a resident worker
+  process-wide planner and schedule-lowering caches, and a resident worker
   pool whose forked workers stay warm across requests;
 * **many concurrent clients** speak a newline-delimited-JSON socket
   protocol (TCP or unix socket; see :mod:`repro.serve.protocol`) and

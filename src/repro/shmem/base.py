@@ -52,11 +52,6 @@ class ShmemMechanism(abc.ABC):
     name: str = "abstract"
     #: True if the sender completes without receiver participation
     eager: bool = False
-    #: True if the mechanism keeps per-buffer warm state (page-fault
-    #: regions, XPMEM expose/attach caches).  The batch engine only
-    #: records buffer-identity conflict resources when this is set; the
-    #: conservative default covers unknown subclasses.
-    warm_state: bool = True
 
     def sender_occupy(self, mem: "MemoryModel", msg: MsgInfo) -> float:
         """Seconds the sender is blocked before the message is posted.

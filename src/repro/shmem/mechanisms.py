@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Set, Tuple
 
-from numpy import ndarray
-
 from repro.shmem.base import MsgInfo, ShmemMechanism
-from repro.sim.batchline import BatchDivergence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.memory import MemoryModel
@@ -44,7 +41,6 @@ class PosixShmem(ShmemMechanism):
 
     name = "posix-shmem"
     eager = True
-    warm_state = False  # the slab is mapped at init; nothing to warm
 
     def sender_occupy(self, mem: "MemoryModel", msg: MsgInfo) -> float:
         # copy-in to the shared slab
@@ -113,7 +109,6 @@ class PipShmem(ShmemMechanism):
 
     name = "pip"
     eager = False
-    warm_state = False  # one address space: no faults, no attach cache
 
     def match_fixed(self, mem: "MemoryModel", msg: MsgInfo) -> float:
         return mem.params.pip_sizesync_time
@@ -137,27 +132,10 @@ class HybridMechanism(ShmemMechanism):
         self.small = small
         self.large = large
         self.threshold = threshold
-        self.warm_state = small.warm_state or large.warm_state
         self.name = f"hybrid({small.name}<{threshold}B<={large.name})"
 
     def pick(self, nbytes) -> ShmemMechanism:
-        """The mechanism serving a ``nbytes`` message.
-
-        Under the batch engine ``nbytes`` is an array over the message-size
-        axis; the pick must then be uniform across the partition — a mixed
-        mask is a structural divergence (different mechanisms mean
-        different cost closures and warm state), reported via
-        :class:`~repro.sim.batchline.BatchDivergence` so the engine can
-        split the size axis at this threshold.
-        """
-        if isinstance(nbytes, ndarray):
-            small = nbytes < self.threshold
-            if small[0]:
-                if small.all():
-                    return self.small
-            elif not small.any():
-                return self.large
-            raise BatchDivergence(small)
+        """The mechanism serving a ``nbytes`` message."""
         return self.small if nbytes < self.threshold else self.large
 
     def eager_for(self, nbytes: int) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.microbench import MicrobenchResult, run_point
+from repro.bench.microbench import ENGINES, MicrobenchResult, run_point
 from repro.bench.runner import (
     Point,
     ResultCache,
@@ -262,11 +262,12 @@ def test_worker_function_pickles_by_qualified_name():
     assert fn is run_point_spec
 
 
-# -- column routing: the batch engine through the runner ------------------
+# -- column routing: column work units through the runner -----------------
 
-#: one batch column: 4 sizes of one (library, collective, shape)
+#: one column: 4 sizes of one (library, collective, shape), routed as one
+#: work unit because the engine is ``auto`` and the pair planner-backed
 COLUMN_POINTS = [
-    Point("PiP-MColl", "allgather", 2, 2, s, engine="batch")
+    Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
     for s in (64, 1024, 16384, 65536)
 ]
 
@@ -284,6 +285,21 @@ def test_batch_column_through_runner_identical_to_dag(tmp_path):
     for g, ref in zip(got, _dag_reference(COLUMN_POINTS)):
         assert g.samples == ref.samples
         assert g.internode_messages == ref.internode_messages
+
+
+def test_auto_column_matches_per_size_dag_bit_for_bit():
+    """Every size of an ``auto`` column equals its own ``engine="dag"``
+    point exactly, including sizes whose event order under contention
+    differs from the column's other sizes (512 B here)."""
+    pts = [
+        Point("PiP-MColl", "allreduce", 32, 6, s, engine="auto")
+        for s in (16, 32, 64, 128, 256, 512)
+    ]
+    got = SweepRunner(jobs=1, use_cache=False, engine="auto").run(pts)
+    for g, ref in zip(got, _dag_reference(pts)):
+        assert g.samples == ref.samples, g.msg_bytes
+        assert g.time == ref.time, g.msg_bytes
+        assert g.internode_messages == ref.internode_messages, g.msg_bytes
 
 
 def test_auto_upgrades_multi_size_columns_and_stays_identical(tmp_path):
@@ -315,7 +331,7 @@ def test_single_size_auto_point_lands_in_its_column_group(tmp_path):
 
 def test_parallel_column_execution_identical(tmp_path):
     pts = COLUMN_POINTS + [
-        Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
+        Point("PiP-MPICH", "allgather", 2, 2, s, engine="auto")
         for s in (64, 1024)
     ]
     serial = SweepRunner(jobs=1, use_cache=False).run(pts)
@@ -327,11 +343,11 @@ def test_parallel_column_execution_identical(tmp_path):
 def test_lowering_counters_aggregate_across_column_work_units(jobs):
     """Workers are separate processes, so their lowering counters die with
     them; the runner must ship per-work-unit deltas home and sum them."""
-    from repro.sched.batch import clear_lowering_cache
+    from repro.sched.fastpath import clear_lowering_cache
 
     clear_lowering_cache()  # serial path shares this process's cache
     pts = COLUMN_POINTS + [
-        Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
+        Point("PiP-MPICH", "allgather", 2, 2, s, engine="auto")
         for s in (64, 1024, 16384)
     ]
     runner = SweepRunner(jobs=jobs, use_cache=False)
@@ -347,7 +363,7 @@ def test_lowering_counters_aggregate_across_column_work_units(jobs):
 
 def test_lowering_delta_worker_returns_results_and_counters():
     from repro.bench.runner.pool import run_sweep_column_stats
-    from repro.sched.batch import clear_lowering_cache
+    from repro.sched.fastpath import clear_lowering_cache
 
     clear_lowering_cache()
     col_results, delta = run_sweep_column_stats(COLUMN_POINTS)
@@ -411,12 +427,12 @@ def test_column_key_groups_by_everything_but_size():
     assert a.msg_bytes != b.msg_bytes
     assert column_key(a) == column_key(b)
     for variant in (
-        Point("PiP-MPICH", "allgather", 2, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allgather", 4, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto"),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="batch", warmup=2),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="batch",
+        Point("PiP-MPICH", "allgather", 2, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allgather", 4, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="dag"),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto", warmup=2),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto",
               thresholds=Thresholds.always_small()),
     ):
         assert column_key(variant) != column_key(a), variant
@@ -425,15 +441,15 @@ def test_column_key_groups_by_everything_but_size():
 def test_cache_key_distinct_per_engine_including_batch():
     keys = {
         cache_key(Point("PiP-MColl", "allgather", 2, 2, 64, engine=e))
-        for e in ("event", "dag", "batch", "auto")
+        for e in ENGINES
     }
-    assert len(keys) == 4
+    assert len(keys) == len(ENGINES)
 
 
 def test_grouped_sweep_never_relowers():
-    """The pool warm start: one lowering per column structure, reused
-    across every size and every repeat sweep."""
-    from repro.sched.batch import clear_lowering_cache, lowering_cache_info
+    """The pool warm start: one lowering per schedule, reused across
+    every repeat sweep."""
+    from repro.sched.fastpath import clear_lowering_cache, lowering_cache_info
 
     clear_lowering_cache()
     runner = SweepRunner(jobs=1, use_cache=False)
@@ -504,8 +520,8 @@ def test_empty_progress_env_flag_means_unset(monkeypatch, capsys):
 
 def test_zero_measure_column_fails_fast_like_run_point(monkeypatch):
     """``run_sweep_column`` with ``measure=0`` must raise the same
-    ``ValueError`` as ``run_point`` — up front, before the batch engine
-    is ever invoked deep inside a pool worker."""
+    ``ValueError`` as ``run_point`` — up front, before the column is
+    ever evaluated deep inside a pool worker."""
     import repro.sched.batch as batch
 
     called = []

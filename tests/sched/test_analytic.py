@@ -1,6 +1,6 @@
 """The analytic tier: closed-form estimates with an error-bounded contract.
 
-Unlike the DAG/batch engines there is no bit-identity to assert; the
+Unlike the DAG engine there is no bit-identity to assert; the
 contract is (a) coverage of the registry surface, (b) measured relative
 error vs the exact engines below the documented
 :data:`repro.sched.analytic.ERROR_BOUND`, (c) vectorized axis evaluation

@@ -1,30 +1,23 @@
-"""Cross-engine equivalence: the batch column engine vs the DAG engine.
+"""Column work units vs per-size DAG evaluation.
 
-The batch engine's contract is the DAG engine's, inherited transitively:
-for every (point, size), ``evaluate_column`` must reproduce the scalar
-DAG samples and message counts exactly — same floats, not "close" floats.
-The interesting axes are the ones that stress the fallback machinery:
-size axes straddling the eager/rendezvous threshold and the hybrid
-intranode-mechanism threshold (partition splits), contended columns where
-the conflict check flags order divergence (DAG fallback), and forced
-all-divergent passes (the bail-out seam).
+For every (point, size), ``evaluate_column`` must reproduce the DAG
+engine's samples and message counts exactly — same floats, not "close"
+floats — on axes that straddle the eager/rendezvous threshold, the hybrid
+intranode-mechanism threshold and the PiP-MColl algorithm switches.
 """
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.bench.microbench import run_point
 from repro.core.tuning import Thresholds
-from repro.sched.batch import (
+from repro.sched.batch import evaluate_column
+from repro.sched.fastpath import (
     clear_lowering_cache,
-    evaluate_column,
+    evaluate_point,
     lowering_cache_info,
 )
-from repro.sched.fastpath import evaluate_point
 from repro.sched.registry import planner_cache_info, registry_combinations
-from repro.sim.batchline import BatchTimeline
 
 #: canonical registry name -> the benchmark-facing display name
 BENCH_NAME = {
@@ -41,10 +34,10 @@ STRADDLE_AXIS = (16, 512, 4096, 16384, 32768, 65536, 131072, 262144)
 
 def _assert_column_identical(lib, coll, nodes, ppn, sizes, **kw):
     col = evaluate_column(BENCH_NAME[lib], coll, nodes, ppn, sizes, **kw)
-    assert set(col.results) == set(sizes)
+    assert set(col) == set(sizes)
     for s in sizes:
         ref = evaluate_point(lib, coll, nodes, ppn, s, **kw)
-        got = col.results[s]
+        got = col[s]
         label = f"{lib}/{coll} {nodes}x{ppn} {s}B"
         assert got.samples == ref.samples, label
         assert got.internode_messages == ref.internode_messages, label
@@ -76,99 +69,22 @@ def test_column_identical_on_randomized_shapes():
         )
 
 
-# -- fallback seams -------------------------------------------------------
+# -- threshold-straddling axes --------------------------------------------
 
 
 def test_threshold_straddling_axis_partitions():
-    """An axis across protocol thresholds must split, not diverge."""
-    col = _assert_column_identical(
+    """An axis across the eager/rendezvous threshold stays exact."""
+    _assert_column_identical(
         "pip-mcoll", "allgather", 2, 4,
         (512, 8192, 16384, 32768, 262144),
     )
-    # the eager/rendezvous switch alone forces at least two partitions
-    assert len(col.stats.partitions) + len(col.stats.singleton_sizes) >= 2
 
 
 def test_hybrid_mechanism_threshold_partitions():
-    """OpenMPI's hybrid intranode mechanism splits at its threshold."""
-    col = _assert_column_identical(
+    """An axis across OpenMPI's hybrid intranode threshold stays exact."""
+    _assert_column_identical(
         "openmpi", "allgather", 2, 4, (64, 1024, 8192, 65536),
     )
-    assert len(col.stats.partitions) + len(col.stats.singleton_sizes) >= 2
-
-
-def test_forced_order_divergence_falls_back_to_dag(monkeypatch):
-    """With every size flagged divergent, the engine must still be exact
-    (everything re-evaluated on the DAG engine through the bail-out)."""
-
-    def all_divergent(self):
-        return np.ones(self.width, dtype=bool)
-
-    monkeypatch.setattr(BatchTimeline, "order_divergence", all_divergent)
-    col = _assert_column_identical(
-        "pip-mcoll", "allgather", 2, 2, (512, 1024, 2048, 4096),
-    )
-    assert set(col.stats.fallback_sizes) | set(col.stats.singleton_sizes) \
-        == {512, 1024, 2048, 4096}
-
-
-def test_singleton_partition_routes_to_dag():
-    col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, (4096,))
-    assert col.stats.singleton_sizes == (4096,)
-    assert col.stats.partitions == ()
-
-
-def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
-    """Signature clusters re-batch under their own pivot until the depth
-    bound, then fall back to the DAG engine — exactly either way.
-
-    Stages divergence the conflict check would not naturally flag: every
-    pass marks all but its pivot as one signature cluster, so the cluster
-    re-batches (width shrinking by one per level) until ``_REBATCH_DEPTH``
-    exhausts and the remainder drains to the DAG engine.  Results must be
-    bit-identical throughout — including the accepted pivots' vectorized
-    results and the carried warm-state of every re-batched pass.
-    """
-
-    def all_but_pivot(self):
-        bad = np.ones(self.width, dtype=bool)
-        bad[0] = False
-        return bad if self.width >= 3 else np.zeros(self.width, dtype=bool)
-
-    def one_cluster(self, divergent):
-        labels = np.full(self.width, -1, dtype=np.int64)
-        labels[divergent] = 0
-        return labels
-
-    monkeypatch.setattr(BatchTimeline, "order_divergence", all_but_pivot)
-    monkeypatch.setattr(BatchTimeline, "divergence_labels", one_cluster)
-    from repro.sched import batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "_REBATCH_DEPTH", 2)
-    clear_lowering_cache()
-    sizes = (256, 512, 1024, 2048, 4096, 8192)
-    col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, sizes)
-    # depth 0 (width 6) and depth 1 (width 5) each re-batch one cluster;
-    # depth 2 hits the bound and drains the remaining flagged sizes
-    assert col.stats.retries == 2
-    assert col.stats.rebatch_depth == 2
-    assert col.stats.fallback_sizes  # the depth-exhausted remainder
-    clear_lowering_cache()
-
-
-def test_outcome_cache_elides_adjudication_passes():
-    """A pass known to accept at most its pivot is skipped on repeat
-    evaluations (sizes go straight to the DAG engine) — bit-identically."""
-    clear_lowering_cache()
-    axis = (65536, 98304, 131072, 196608, 262144)
-    col1 = _assert_column_identical("pip-mcoll", "allreduce", 4, 8, axis)
-    assert col1.stats.elided_passes == 0
-    assert col1.stats.fallback_sizes  # contention-bound column
-    col2 = _assert_column_identical("pip-mcoll", "allreduce", 4, 8, axis)
-    assert col2.stats.elided_passes >= 1
-    for s in axis:
-        assert col2.results[s] == col1.results[s]
-    clear_lowering_cache()
 
 
 # -- surface and argument checking ---------------------------------------
@@ -203,23 +119,6 @@ def test_batch_rejects_empty_axis():
         evaluate_column("PiP-MColl", "allreduce", 2, 2, ())
 
 
-# -- run_point / engine registry integration -----------------------------
-
-
-def test_run_point_engine_batch_identical_to_dag():
-    batch = run_point("PiP-MColl", "allreduce", 2, 2, 4096, engine="batch")
-    dag = run_point("PiP-MColl", "allreduce", 2, 2, 4096, engine="dag")
-    assert batch == dag
-
-
-def test_run_point_engine_batch_rejects_tracing():
-    from repro.sim.trace import Tracer
-
-    with pytest.raises(ValueError, match="trace"):
-        run_point("PiP-MColl", "allreduce", 2, 2, 512, engine="batch",
-                  tracer=Tracer())
-
-
 # -- lowering cache -------------------------------------------------------
 
 
@@ -237,7 +136,7 @@ def test_repeated_columns_do_not_relower():
 
 def test_lowering_cache_reports_through_planner_window():
     info = planner_cache_info()
-    assert "batch_lowering" in info
-    li = info["batch_lowering"]
+    assert "dag_lowering" in info
+    li = info["dag_lowering"]
     assert li == lowering_cache_info()
     assert hasattr(li, "hits") and hasattr(li, "misses")

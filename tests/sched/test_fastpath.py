@@ -102,8 +102,9 @@ def test_auto_resolves_to_dag_only_where_supported():
     # tracing always needs the event loop
     assert resolve_engine("auto", "PiP-MColl", "allreduce", tracing=True) \
         == "event"
-    # "native"/"native-batch" were JIT replay tiers, since removed
-    for name in ("fast", "native", "native-batch"):
+    # "native"/"native-batch" were JIT replay tiers and "batch" the
+    # vectorized column engine, all since removed
+    for name in ("fast", "native", "native-batch", "batch"):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine(name, "PiP-MColl", "allreduce")
         with pytest.raises(ValueError, match=f"unknown engine '{name}'"):

@@ -38,7 +38,7 @@ def test_point_round_trips_including_params_and_thresholds():
     points = [
         Point("PiP-MColl", "allgather", 2, 4, 512, engine="auto"),
         Point("PiP-MColl", "allreduce", 4, 8, 65536, warmup=2, measure=3,
-              params=tiny_test_machine(), engine="batch"),
+              params=tiny_test_machine(), engine="dag"),
         Point("PiP-MColl", "allgather", 2, 2, 1024,
               thresholds=Thresholds.always_small(), engine="event"),
     ]
@@ -62,12 +62,14 @@ def test_malformed_point_spec_raises_bad_request():
     assert err.value.code == "bad-request"
 
 
-@pytest.mark.parametrize("engine", ["fast", "native", "native-batch"])
+@pytest.mark.parametrize(
+    "engine", ["fast", "native", "native-batch", "batch"]
+)
 def test_unknown_engine_rejected_at_the_front_door(engine):
     """Engine names are validated once, at the daemon entry, with the
     same message the SweepRunner constructor uses — a bad name must not
     surface as an ``internal`` error from deep inside a worker
-    (``native``/``native-batch`` are the removed JIT replay tiers)."""
+    (``native``/``native-batch``/``batch`` are removed engines)."""
     doc = {
         "library": "PiP-MColl", "collective": "allreduce",
         "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": engine,

@@ -20,7 +20,7 @@ from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
 AXIS = (64, 1024, 16384)
 
 
-def column(sizes=AXIS, collective="allgather", engine="batch"):
+def column(sizes=AXIS, collective="allgather", engine="auto"):
     return [
         Point("PiP-MColl", collective, 2, 4, s, engine=engine)
         for s in sizes
@@ -76,12 +76,13 @@ class DaemonThread:
 
 
 def test_sweep_bit_identical_to_runner_across_engines(tmp_path):
-    # a batch column, auto points (upgraded to the column route on both
-    # fronts), and a scalar event point — the full routing surface
+    # two auto columns (column-routed on both fronts), a scalar dag
+    # point and a scalar event point — the full routing surface
     points = (
-        column(engine="batch")
+        column()
         + [Point("PiP-MColl", "allreduce", 2, 4, s, engine="auto")
            for s in (512, 8192)]
+        + [Point("PiP-MColl", "scatter", 2, 4, 4096, engine="dag")]
         + [Point("OpenMPI", "allgather", 2, 2, 1024, engine="event")]
     )
     with DaemonThread(tmp_path) as harness:
