@@ -40,10 +40,11 @@ COLLECTIVES = (
 )
 
 #: how a point is evaluated: the coroutine event loop (authoritative), the
-#: DAG fast path (bit-identical, planner-backed pairs only), the analytic
-#: tier (closed-form estimates — approximate, error-bounded, never picked
-#: by ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG
-#: whenever it applies, event loop otherwise)
+#: DAG fast path (bit-identical; planner-backed pairs only, i.e. the
+#: scatter, allgather and allreduce of every library), the analytic tier
+#: (closed-form estimates — approximate, error-bounded, never picked by
+#: ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG whenever
+#: it applies, event loop otherwise)
 ENGINES = ("event", "dag", "analytic", "auto")
 
 
@@ -53,8 +54,9 @@ def resolve_engine(
     """Resolve ``auto`` to the engine that will actually run.
 
     ``auto`` picks the DAG replay exactly when the (library, collective)
-    pair is planner-backed and no tracer is attached (phantom data is
-    implied: :func:`run_point` worlds are always phantom), the event loop
+    pair is planner-backed — scatter, allgather or allreduce, for every
+    library — and no tracer is attached (phantom data is implied:
+    :func:`run_point` worlds are always phantom), the event loop
     otherwise.  The sweep runner additionally groups planner-backed
     ``auto`` columns into one work unit each, still evaluated per size on
     the DAG engine (see :mod:`repro.bench.runner.pool`).

@@ -17,7 +17,14 @@ columnar result store one column-group shard at a time
 (:meth:`~repro.bench.runner.cache.ResultCache.get_many` /
 :meth:`~repro.bench.runner.cache.ResultCache.put_many`).  A lone ``auto``
 point runs on the DAG engine too, so the route is invisible in the
-results.
+results.  Every ``(library, collective)`` pair of the figures has a
+planner, so in ``auto`` sweeps only the collectives without one
+(alltoall, bcast, gather, reduce, barrier) reach the event loop.
+
+One :meth:`SweepRunner.run` is one work queue: its columns (largest
+first) and then its points go to a single ``pool.map`` over a pool that
+is created and torn down inside the call, so no worker outlives the run
+and a single pending column never runs serially after a point pool.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from repro.sched.fastpath import fastpath_supported
 
 __all__ = [
     "SweepRunner", "default_runner", "run_points", "run_point_spec",
-    "run_sweep_column", "run_sweep_column_stats", "merge_lowering_delta",
-    "plan_column_routes",
+    "run_sweep_column", "run_sweep_column_stats", "run_work_unit",
+    "merge_lowering_delta", "plan_column_routes",
 ]
 
 _ENV_JOBS = "PIPMCOLL_JOBS"
@@ -67,6 +74,16 @@ def run_point_spec(point: Point) -> MicrobenchResult:
         thresholds=point.thresholds,
         engine=point.engine,
     )
+
+
+def run_work_unit(unit):
+    """Pool worker of a mixed work queue: a :class:`Point` runs through
+    :func:`run_point_spec`, a column (list of points) through
+    :func:`run_sweep_column_stats`.  Both are looked up as module globals
+    at call time, so wrappers installed on this module see every unit."""
+    if isinstance(unit, Point):
+        return run_point_spec(unit)
+    return run_sweep_column_stats(unit)
 
 
 def _evaluate_sweep_column(points: Sequence[Point]):
@@ -330,45 +347,40 @@ class SweepRunner:
             else:
                 pending.append(i)
 
-        # 2. compute misses (pool or serial); each column is one work unit.
-        # Point-routed puts buffer in the cache and flush as whole shards
-        # in the finally block — the batched-flush half of the columnar
-        # store (column puts are already one shard per put_many call).
+        # 2. compute misses: one work queue — columns (heaviest first),
+        # then points — mapped over one pool, or serially for a single
+        # unit or jobs=1.  Point-routed puts buffer in the cache and flush
+        # as whole shards in the finally block — the batched-flush half of
+        # the columnar store (column puts are one shard per put_many call).
+        columns = sorted(col_pending.values(), key=len, reverse=True)
+        col_units = [[points[i] for i in idxs] for idxs in columns]
+        units = col_units + [points[i] for i in pending]
         try:
-            if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    computed = self._map_pool(
-                        run_point_spec, [points[i] for i in pending]
-                    )
-                else:
-                    computed = map(run_point_spec, (points[i] for i in pending))
-                for i, result in zip(pending, computed):
+            if self.jobs > 1 and len(units) > 1:
+                fn = run_work_unit if columns else run_point_spec
+                computed = iter(self._map_pool(fn, units))
+            else:
+                computed = map(run_work_unit, units)
+            # zip stops at the exhausted column list without advancing
+            # ``computed``, so the point loop picks up the remaining units
+            for idxs, group, (col_results, lower_delta) in zip(
+                columns, col_units, computed
+            ):
+                merge_lowering_delta(self._lowering_totals, lower_delta)
+                if self.use_cache:
+                    self.cache.put_many(group, col_results)
+                for i, result in zip(idxs, col_results):
                     results[i] = result
-                    if self.use_cache:
-                        self.cache.put(points[i], result)
                     done += 1
                     if self.progress:
                         self.progress(done, total, points[i], "run")
-            if col_pending:
-                groups = [[points[i] for i in idxs]
-                          for idxs in col_pending.values()]
-                if self.jobs > 1 and len(groups) > 1:
-                    computed_cols = self._map_pool(
-                        run_sweep_column_stats, groups
-                    )
-                else:
-                    computed_cols = map(run_sweep_column_stats, groups)
-                for idxs, group, (col_results, lower_delta) in zip(
-                    col_pending.values(), groups, computed_cols
-                ):
-                    merge_lowering_delta(self._lowering_totals, lower_delta)
-                    if self.use_cache:
-                        self.cache.put_many(group, col_results)
-                    for i, result in zip(idxs, col_results):
-                        results[i] = result
-                        done += 1
-                        if self.progress:
-                            self.progress(done, total, points[i], "run")
+            for i, result in zip(pending, computed):
+                results[i] = result
+                if self.use_cache:
+                    self.cache.put(points[i], result)
+                done += 1
+                if self.progress:
+                    self.progress(done, total, points[i], "run")
         finally:
             if self.use_cache:
                 self.cache.flush()

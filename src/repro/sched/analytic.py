@@ -26,9 +26,9 @@ times the iteration count.  Rendezvous control traffic (RTS/CTS) is not
 modelled, so counts can undercount the exact engines' totals for
 above-threshold messages.
 
-Coverage is the planner-backed registry surface
-(:func:`repro.sched.registry.registry_combinations`), same as the DAG
-engine; :func:`analytic_supported` reports it.
+Coverage is :data:`ANALYTIC_PAIRS`: the PiP-MColl primary collectives
+and the flat baselines' allgather, a subset of the planner-backed registry
+the DAG engine covers; :func:`analytic_supported` reports it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.models.formulas import (
 )
 
 __all__ = [
+    "ANALYTIC_PAIRS",
     "ERROR_BOUND",
     "AnalyticEstimate",
     "AnalyticColumn",
@@ -68,13 +69,20 @@ ERROR_BOUND = 0.5
 _MCOLL = ("pip-mcoll", "pip-mcoll-small")
 _FLAT = ("pip-mpich", "openmpi")
 
+#: every (library, collective) pair with a closed form, in calibration
+#: order (results/analytic_error.json is keyed by it)
+ANALYTIC_PAIRS = tuple(
+    (lib, coll) for lib in _MCOLL
+    for coll in ("scatter", "allgather", "allreduce")
+) + tuple((lib, "allgather") for lib in _FLAT)
+
 
 def _canon(name: str) -> str:
     return name.lower().replace("_", "-").replace(" ", "-")
 
 
 def analytic_supported(library: str, collective: str) -> bool:
-    """True when the pair has a closed-form lowering (registry surface)."""
+    """True when the pair has a closed form (:data:`ANALYTIC_PAIRS`)."""
     lib = _canon(library)
     if lib in _MCOLL:
         return collective in ("scatter", "allgather", "allreduce")

@@ -5,10 +5,17 @@ transcribe the control flow of the algorithm they compile (the same loops
 the original generators ran) and call the emitter where the generator
 performed a primitive.  ``isend``/``irecv`` hand out consecutive request
 handle slots exactly like request variables in the generator code.
+
+Every planner is memoized with :data:`planner_cache`, a bounded LRU: a
+sweep replays one (shape, size) schedule many times, so planning must not
+be repaid per invocation, but a long-lived process (a pool worker, the
+serve daemon) visits thousands of distinct points and must not keep every
+schedule it ever built.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, List, Optional
 
 from repro.sched.ir import (
@@ -26,7 +33,14 @@ from repro.sched.ir import (
     WaitStep,
 )
 
-__all__ = ["Emitter"]
+__all__ = ["Emitter", "PLAN_CACHE_SIZE", "planner_cache"]
+
+#: schedules each planner keeps, least recently used evicted first; a
+#: figure column or a serve request touches at most a few dozen
+PLAN_CACHE_SIZE = 64
+
+#: the memo decorator every ``plan_*`` function is wrapped in
+planner_cache = lru_cache(maxsize=PLAN_CACHE_SIZE)
 
 
 class Emitter:

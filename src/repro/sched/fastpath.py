@@ -40,13 +40,14 @@ semantic reference.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from heapq import heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.hw.memory import MemoryModel
 from repro.hw.nic import NodeNic
 from repro.hw.params import MachineParams, bebop_broadwell
+from repro.mpi.collectives.group import Group
 from repro.mpi.transport import RTS_HEADER_BYTES
 from repro.sched.ir import (
     AllocStep,
@@ -101,6 +102,8 @@ _DISPLAY_NAMES = {
     "pip-mcoll-small": "PiP-MColl-small",
     "pip-mpich": "PiP-MPICH",
     "openmpi": "OpenMPI",
+    "mvapich2": "MVAPICH2",
+    "intelmpi": "IntelMPI",
 }
 
 
@@ -108,14 +111,10 @@ def fastpath_supported(library: str, collective: str) -> bool:
     """Whether the DAG engine covers this (library, collective) pair.
 
     True exactly when :func:`repro.sched.registry.plan_for` would succeed:
-    the PiP-MColl primary collectives and the flat baselines' allgather.
+    every modelled library's scatter, allgather and allreduce.
     """
     canon = library.lower().replace("_", "-").replace(" ", "-")
-    if canon not in LIBRARIES or collective not in COLLECTIVES:
-        return False
-    if canon in ("pip-mpich", "openmpi") and collective != "allgather":
-        return False
-    return True
+    return canon in LIBRARIES and collective in COLLECTIVES
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,10 @@ class _Compiled(NamedTuple):
     num_handles: int
 
 
-def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
+def _compile_program(program: RankProgram, index: int, ppn: int,
+                     keys: Dict) -> _Compiled:
+    """Lower one program; ``keys`` memoizes ``key -> (builder, constant)``
+    across the programs of one schedule, which mostly share their tags."""
     node = index // ppn
     ops: list = []
     slots: Dict = {}
@@ -228,11 +230,16 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(const_tags)
-            if _has_markers(key):
-                const_tags.append(None)
-                dyn_tags.append((slot, _key_builder(key)))
-            else:
-                const_tags.append(resolve_key(key, (), {}))
+            entry = keys.get(key)
+            if entry is None:
+                entry = keys[key] = (
+                    (_key_builder(key), None) if _has_markers(key)
+                    else (None, resolve_key(key, (), {}))
+                )
+            builder, const = entry
+            const_tags.append(const)
+            if builder is not None:
+                dyn_tags.append((slot, builder))
         return slot
 
     for step in program.steps:
@@ -301,9 +308,13 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
-#: lowered schedules by (id(schedule), ppn); the value keeps the schedule
-#: alive, so its id cannot be reused while the entry exists
-_LOWERED: Dict[Tuple[int, int], Tuple[Schedule, Tuple[_Compiled, ...]]] = {}
+#: lowered schedules kept, least recently used evicted first (like the
+#: planners' caches, see repro.sched.emit.PLAN_CACHE_SIZE)
+LOWERING_CACHE_SIZE = 64
+
+#: lowered schedules by (id(schedule), ppn), in LRU order; the value keeps
+#: the schedule alive, so its id cannot be reused while the entry exists
+_LOWERED: "OrderedDict[Tuple[int, int], tuple]" = OrderedDict()
 _lower_hits = 0
 _lower_misses = 0
 
@@ -315,7 +326,9 @@ def lowering_cache_info() -> CacheInfo:
     ``"dag_lowering"``; a repeated sweep must be pure hits
     (``tests/bench/test_runner.py`` pins this).
     """
-    return CacheInfo(_lower_hits, _lower_misses, None, len(_LOWERED))
+    return CacheInfo(
+        _lower_hits, _lower_misses, LOWERING_CACHE_SIZE, len(_LOWERED)
+    )
 
 
 def clear_lowering_cache() -> None:
@@ -327,24 +340,28 @@ def clear_lowering_cache() -> None:
 
 
 def _compiled_for(schedule: Schedule, ppn: int) -> Tuple[_Compiled, ...]:
-    """Lower ``schedule`` for node size ``ppn``, once per process.
+    """Lower ``schedule`` for node size ``ppn``, once while it is cached.
 
-    Planner schedules are ``lru_cache``d module-level singletons, so
-    caching the lowered form per (schedule, ppn) — ppn decides send
-    locality — makes compilation a once-per-process cost.
+    Planner schedules are memoized per process, so caching the lowered
+    form per (schedule, ppn) — ppn decides send locality — makes
+    compilation a once-per-schedule cost.
     """
     global _lower_hits, _lower_misses
     key = (id(schedule), ppn)
     hit = _LOWERED.get(key)
     if hit is not None:
         _lower_hits += 1
+        _LOWERED.move_to_end(key)
         return hit[1]
     _lower_misses += 1
+    keys: Dict = {}
     compiled = tuple(
-        _compile_program(prog, i, ppn)
+        _compile_program(prog, i, ppn, keys)
         for i, prog in enumerate(schedule.programs)
     )
     _LOWERED[key] = (schedule, compiled)
+    if len(_LOWERED) > LOWERING_CACHE_SIZE:
+        _LOWERED.popitem(last=False)
     return compiled
 
 
@@ -469,7 +486,7 @@ class FastWorld:
         # per-rank collective op counter (identical across ranks, so one
         # world-level counter stands in for all of them)
         self._op_seq = 0
-        # per-group collective-tag counters (flat baselines)
+        # per-group collective-tag counters (baseline libraries)
         self._group_seqs: Dict = {}
         # fresh abstract buffer ids (AllocStep temporaries; binding buffers)
         self._buf_seq = 0
@@ -1013,8 +1030,9 @@ class _Task:
 
 def _prepare(library: str, collective: str, nodes: int, ppn: int,
              msg_bytes: int, params: Optional[MachineParams],
-             thresholds) -> Tuple[FastWorld, PlannedCollective, list, bool]:
-    """Shared setup: plan, world, per-participant base environments."""
+             thresholds) -> Tuple[FastWorld, PlannedCollective, list, tuple]:
+    """Shared setup: plan, world, per-participant base environments, and
+    the ``(Sym name, group tag_key)`` pairs each invocation draws."""
     from repro.baselines.registry import make_library
 
     if not fastpath_supported(library, collective):
@@ -1042,8 +1060,16 @@ def _prepare(library: str, collective: str, nodes: int, ppn: int,
         {name: (world.new_buf_id(), cnt) for name, cnt in binding.items()}
         for binding in planned.bindings
     ]
-    flat = bool(planned.symbols)  # flat baselines carry a Sym("tag")
-    return world, planned, envs, flat
+    tag_keys = tuple(
+        (name, Group(ranks).tag_key) for name, ranks in planned.tag_groups
+    )
+    return world, planned, envs, tag_keys
+
+
+def _draw_tags(world: FastWorld, tag_keys: tuple) -> dict:
+    """One invocation's group-scoped tags, drawn in the wrappers' order
+    (each group's next ``RankCtx.collective_tag`` value)."""
+    return {name: world.next_group_tag(key) for name, key in tag_keys}
 
 
 def evaluate_point(
@@ -1065,17 +1091,12 @@ def evaluate_point(
     """
     if measure < 1:
         raise ValueError("need at least one measured iteration")
-    world, planned, envs, flat = _prepare(
+    world, planned, envs, tag_keys = _prepare(
         library, collective, nodes, ppn, msg_bytes, params, thresholds
     )
-    # the flat wrappers scope tags with the world communicator's tag_key
-    # plus a per-invocation sequence number
-    tag_key = hash(tuple(range(nodes * ppn))) if flat else None
     samples = []
     for it in range(warmup + measure):
-        symbols = (
-            {"tag": world.next_group_tag(tag_key)} if flat else {}
-        )
+        symbols = _draw_tags(world, tag_keys)
         elapsed = world.run_schedule(planned.schedule, envs, symbols)
         if it >= warmup:
             samples.append(elapsed)
@@ -1098,11 +1119,9 @@ def evaluate_tables(
     the result is directly comparable to
     :func:`repro.sched.check.check_planned`'s ``per_rank`` tables.
     """
-    world, planned, envs, flat = _prepare(
+    world, planned, envs, tag_keys = _prepare(
         library, collective, nodes, ppn, msg_bytes, params, thresholds
     )
     world.acct = {}
-    tag_key = hash(tuple(range(nodes * ppn))) if flat else None
-    symbols = {"tag": world.next_group_tag(tag_key)} if flat else {}
-    world.run_schedule(planned.schedule, envs, symbols)
+    world.run_schedule(planned.schedule, envs, _draw_tags(world, tag_keys))
     return world.acct

@@ -7,11 +7,16 @@ One module per layer:
   backing the ``repro.core.intranode`` entry points);
 * :mod:`repro.sched.plans.ring` — the multi-object internode ring;
 * :mod:`repro.sched.plans.mcoll` — the paper's three primary collectives;
-* :mod:`repro.sched.plans.baseline` — classical group algorithms
-  (Bruck / recursive-doubling / ring allgather) used by the baselines.
+* :mod:`repro.sched.plans.baseline` — classical group algorithms used by
+  the baselines (Bruck / recursive-doubling / ring allgather,
+  recursive-doubling / Rabenseifner allreduce, binomial scatter, gather,
+  broadcast and reduce) and MPICH's selection among them;
+* :mod:`repro.sched.plans.hierarchical` — the MVAPICH2/Intel MPI
+  leader-based scatter, allgather and allreduce.
 
-Every planner is ``lru_cache``'d on its full shape signature: a 128x18
-sweep invokes the same collective thousands of times, and planning is pure
+Every planner is memoized on its full shape signature
+(:data:`repro.sched.emit.planner_cache`, a bounded LRU): a 128x18 sweep
+invokes the same collective thousands of times, and planning is pure
 Python that must not be repaid per invocation.
 """
 
@@ -19,6 +24,17 @@ from repro.sched.plans.baseline import (
     plan_allgather_bruck,
     plan_allgather_recursive_doubling,
     plan_allgather_ring,
+    plan_allreduce_rabenseifner,
+    plan_allreduce_recursive_doubling,
+    plan_bcast_binomial,
+    plan_gather_binomial,
+    plan_reduce_binomial,
+    plan_scatter_binomial,
+)
+from repro.sched.plans.hierarchical import (
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_scatter,
 )
 from repro.sched.plans.intranode import (
     plan_intra_bcast,
@@ -39,6 +55,15 @@ __all__ = [
     "plan_allgather_bruck",
     "plan_allgather_recursive_doubling",
     "plan_allgather_ring",
+    "plan_allreduce_rabenseifner",
+    "plan_allreduce_recursive_doubling",
+    "plan_bcast_binomial",
+    "plan_gather_binomial",
+    "plan_reduce_binomial",
+    "plan_scatter_binomial",
+    "plan_hier_allgather",
+    "plan_hier_allreduce",
+    "plan_hier_scatter",
     "plan_intra_bcast",
     "plan_intra_gather",
     "plan_intra_reduce_binomial",

@@ -13,11 +13,10 @@ generator performed it, so replay is bit-identical in simulated time.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from repro.mpi.collectives.group import block_partition
-from repro.sched.emit import Emitter
+from repro.sched.emit import Emitter, planner_cache
 from repro.sched.ir import BufRef, Ns, RankProgram, Schedule
 
 __all__ = [
@@ -193,7 +192,7 @@ def _node_schedule(programs, label: str) -> Schedule:
     return Schedule(tuple(programs), num_namespaces=1, label=label)
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_intra_bcast(
     ppn: int, count: int, root_local: int, large: bool
 ) -> Schedule:
@@ -209,7 +208,7 @@ def plan_intra_bcast(
     return _node_schedule(programs, f"intra-bcast p{ppn} c{count}")
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_intra_gather(ppn: int, count: int, root_local: int) -> Schedule:
     programs = []
     for lr in range(ppn):
@@ -219,7 +218,7 @@ def plan_intra_gather(ppn: int, count: int, root_local: int) -> Schedule:
     return _node_schedule(programs, f"intra-gather p{ppn} c{count}")
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_intra_reduce_binomial(
     ppn: int, count: int, root_local: int
 ) -> Schedule:
@@ -233,7 +232,7 @@ def plan_intra_reduce_binomial(
     return _node_schedule(programs, f"intra-reduce-binomial p{ppn} c{count}")
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_intra_reduce_chunked(
     ppn: int, count: int, root_local: int, all_wait: bool
 ) -> Schedule:

@@ -16,11 +16,10 @@ Namespace layout per schedule (drawn by the executor in index order):
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.mpi.collectives.group import block_partition
-from repro.sched.emit import Emitter
+from repro.sched.emit import Emitter, planner_cache
 from repro.sched.ir import BufRef, Ns, Schedule, TagOffset
 from repro.sched.plans.intranode import (
     emit_intra_reduce_binomial,
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_scatter(
     nodes: int, ppn: int, count: int, root: int, overlap: bool
 ) -> Schedule:
@@ -139,7 +138,7 @@ def plan_scatter(
     )
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_allgather_small(nodes: int, ppn: int, count: int) -> Schedule:
     """§III-A2 multi-object Bruck allgather, radix ``P + 1``."""
     N, P, C = nodes, ppn, count
@@ -197,7 +196,7 @@ def plan_allgather_small(nodes: int, ppn: int, count: int) -> Schedule:
     )
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_allgather_large(
     nodes: int, ppn: int, count: int, overlap: bool = True
 ) -> Schedule:
@@ -245,7 +244,7 @@ def _digits(value: int, base: int, ndigits: int) -> List[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_allreduce_small(nodes: int, ppn: int, count: int) -> Schedule:
     """§III-A3 multi-object Bruck allreduce with digit-decomposition
     remainder handling."""
@@ -403,7 +402,7 @@ def _owner_of(node: int, node_counts, node_displs) -> int:
     raise AssertionError(f"node {node} not covered by any paired range")
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_allreduce_large(nodes: int, ppn: int, count: int) -> Schedule:
     """§III-B2 reduce-scatter + multi-object ring allgather."""
     N, P, C = nodes, ppn, count

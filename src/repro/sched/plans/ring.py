@@ -9,11 +9,10 @@ public entry point receives it as an argument).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 from repro.mpi.collectives.group import block_partition
-from repro.sched.emit import Emitter
+from repro.sched.emit import Emitter, planner_cache
 from repro.sched.ir import BufRef, HashTag, Schedule, Sym
 
 __all__ = ["emit_ring_allgather_blocks", "plan_ring_allgather_blocks"]
@@ -99,7 +98,7 @@ def emit_ring_allgather_blocks(
         )
 
 
-@lru_cache(maxsize=None)
+@planner_cache
 def plan_ring_allgather_blocks(
     nodes: int,
     ppn: int,

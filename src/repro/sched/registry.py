@@ -1,18 +1,18 @@
-"""Planner-backed (library, collective) registry for static checking.
+"""Planner-backed (library, collective) registry.
 
 Maps the benchmark-facing library/collective names to the planner that the
 live wrapper would execute for a given shape and message size — honouring
 the same selection logic (:class:`~repro.core.tuning.Thresholds` for
-PiP-MColl, MPICH's total-size/power-of-two selection for the flat
-baselines) — and describes the buffer environment each participant starts
-with, so :mod:`repro.sched.check` can verify the schedule without running
-the simulator.
+PiP-MColl, MPICH's total-size/power-of-two allgather and 2 kB allreduce
+switches for the baselines) — and describes the buffer environment each
+participant starts with, so :mod:`repro.sched.check` can verify the
+schedule without running the simulator and the DAG engine
+(:mod:`repro.sched.fastpath`) can replay it.
 
-Coverage is exactly the planner-backed surface: the PiP-MColl primary
-collectives (scatter/allgather/allreduce, plus the forced-small variant)
-and the flat baselines' allgather.  The hierarchical libraries
-(MVAPICH2/IntelMPI) compose algorithms that still run as hand-written
-generators and are out of scope here.
+Coverage is every library of the paper's figures (with the
+PiP-MColl-small variant) times the three primary collectives: the
+PiP-MColl algorithms, the flat MPICH-style baselines (PiP-MPICH, Open
+MPI), and the leader-based compositions of MVAPICH2 and Intel MPI.
 
 Buffer sizes are in *elements*; the microbenchmarks drive every collective
 with byte elements, so element counts equal byte counts throughout.
@@ -20,7 +20,7 @@ with byte elements, so element counts equal byte counts throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.sched.ir import Schedule
@@ -28,6 +28,17 @@ from repro.sched.plans.baseline import (
     plan_allgather_bruck,
     plan_allgather_recursive_doubling,
     plan_allgather_ring,
+    plan_allreduce_rabenseifner,
+    plan_allreduce_recursive_doubling,
+    plan_mpich_allgather,
+    plan_mpich_allreduce,
+    plan_scatter_binomial,
+)
+from repro.sched.plans.hierarchical import (
+    hier_tag_groups,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_scatter,
 )
 from repro.sched.plans.mcoll import (
     plan_allgather_large,
@@ -36,8 +47,6 @@ from repro.sched.plans.mcoll import (
     plan_allreduce_small,
     plan_scatter,
 )
-from repro.util.intmath import is_power_of
-from repro.util.units import KB
 
 __all__ = [
     "PlannedCollective",
@@ -49,12 +58,14 @@ __all__ = [
 ]
 
 #: checker-facing library names (canonical, lowercase)
-LIBRARIES = ("pip-mcoll", "pip-mcoll-small", "pip-mpich", "openmpi")
+LIBRARIES = (
+    "pip-mcoll", "pip-mcoll-small", "pip-mpich", "openmpi", "mvapich2",
+    "intelmpi",
+)
 COLLECTIVES = ("scatter", "allgather", "allreduce")
 
-#: MPICH's flat allgather switches on *total* receive size (see
-#: repro.baselines.libraries._mpich_allgather)
-_MPICH_ALLGATHER_RING_TOTAL = 80 * KB
+_FLAT = ("pip-mpich", "openmpi")
+_HIER = ("mvapich2", "intelmpi")
 
 
 @dataclass(frozen=True)
@@ -63,15 +74,24 @@ class PlannedCollective:
 
     ``ranks[i]`` is the global rank running ``schedule.programs[i]``;
     ``bindings[i]`` maps that participant's input buffer names to element
-    counts; ``symbols`` resolves the schedule's ``Sym`` markers (shared by
-    all participants, as at execution time).
+    counts.  ``tag_groups`` lists the schedule's symbolic tags as
+    ``(Sym name, group ranks)`` pairs, in the order one invocation draws
+    them: at execution each resolves to that group's next collective tag
+    (``RankCtx.collective_tag`` / ``FastWorld.next_group_tag``).
     """
 
     label: str
     schedule: Schedule
     ranks: Tuple[int, ...]
     bindings: Tuple[Dict[str, int], ...]
-    symbols: dict = field(default_factory=dict)
+    tag_groups: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+
+    @property
+    def symbols(self) -> dict:
+        """One distinct stand-in value per symbolic tag — enough for the
+        static checker and for one-shot replays, which need tags to match
+        within an invocation only."""
+        return {name: ("check-tag", name) for name, _ in self.tag_groups}
 
 
 def _norm_library(name: str) -> str:
@@ -121,66 +141,61 @@ def plan_for(
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "scatter":
             schedule = plan_scatter(nodes, ppn, nbytes, 0, True)
-            bindings = tuple(
-                {"send": size * nbytes, "recv": nbytes} if rank == 0
-                else {"recv": nbytes}
-                for rank in world
-            )
         elif collective == "allgather":
             if nbytes < thr.allgather_large_bytes:
                 schedule = plan_allgather_small(nodes, ppn, nbytes)
             else:
                 schedule = plan_allgather_large(nodes, ppn, nbytes)
-            bindings = tuple(
-                {"send": nbytes, "recv": size * nbytes} for _ in world
-            )
-        else:  # allreduce
-            if nbytes < thr.allreduce_large_bytes:
-                schedule = plan_allreduce_small(nodes, ppn, nbytes)
-            else:
-                schedule = plan_allreduce_large(nodes, ppn, nbytes)
-            bindings = tuple(
-                {"send": nbytes, "recv": nbytes} for _ in world
-            )
-        return PlannedCollective(
-            label=f"{library} {collective} {nodes}x{ppn} {nbytes}B "
-                  f"[{schedule.label}]",
-            schedule=schedule,
-            ranks=world,
-            bindings=bindings,
-        )
-
-    # flat baselines (PiP-MPICH / OpenMPI share MPICH's selection)
-    if collective != "allgather":
-        raise ValueError(
-            f"{library} only has a planner-backed allgather; "
-            f"{collective} still runs as a generator"
-        )
-    total = size * nbytes
-    if total < _MPICH_ALLGATHER_RING_TOTAL:
-        if is_power_of(2, size):
-            schedule = plan_allgather_recursive_doubling(world, nbytes)
+        elif nbytes < thr.allreduce_large_bytes:
+            schedule = plan_allreduce_small(nodes, ppn, nbytes)
         else:
-            schedule = plan_allgather_bruck(world, nbytes)
-    else:
-        schedule = plan_allgather_ring(world, nbytes)
+            schedule = plan_allreduce_large(nodes, ppn, nbytes)
+        tag_groups = ()
+    elif library in _FLAT:
+        # PiP-MPICH and Open MPI share MPICH's selection over the world
+        if collective == "scatter":
+            schedule = plan_scatter_binomial(world, nbytes, 0)
+        elif collective == "allgather":
+            schedule = plan_mpich_allgather(world, nbytes)
+        else:
+            schedule = plan_mpich_allreduce(world, nbytes)
+        tag_groups = (("tag", world),)
+    else:  # leader-based (MVAPICH2 / Intel MPI)
+        planner = {
+            "scatter": plan_hier_scatter,
+            "allgather": plan_hier_allgather,
+            "allreduce": plan_hier_allreduce,
+        }[collective]
+        schedule = planner(nodes, ppn, nbytes)
+        tag_groups = hier_tag_groups(collective, nodes, ppn)
     return PlannedCollective(
-        label=f"{library} allgather {nodes}x{ppn} {nbytes}B "
+        label=f"{library} {collective} {nodes}x{ppn} {nbytes}B "
               f"[{schedule.label}]",
         schedule=schedule,
         ranks=world,
-        bindings=tuple(
-            {"send": nbytes, "recv": size * nbytes} for _ in world
-        ),
-        symbols={"tag": ("check-tag",)},
+        bindings=_bindings(collective, size, nbytes),
+        tag_groups=tag_groups,
     )
+
+
+def _bindings(collective: str, size: int, nbytes: int):
+    """Input buffers as the microbenchmark binds them (root = rank 0)."""
+    if collective == "scatter":
+        return ({"send": size * nbytes, "recv": nbytes},) + tuple(
+            {"recv": nbytes} for _ in range(size - 1)
+        )
+    if collective == "allgather":
+        return tuple({"send": nbytes, "recv": size * nbytes}
+                     for _ in range(size))
+    return tuple({"send": nbytes, "recv": nbytes} for _ in range(size))
 
 
 def planner_cache_info() -> Dict[str, "object"]:
     """``lru_cache`` counters of every registered planner, by name.
 
     Each value is the planner's ``functools.CacheInfo`` (hits, misses,
-    maxsize, currsize).  Sweeps hit the same (shape, size) plan once per
+    maxsize, currsize); every cache is a bounded LRU of
+    :data:`repro.sched.emit.PLAN_CACHE_SIZE` entries.  Sweeps hit the same (shape, size) plan once per
     point per process; anything beyond one miss per distinct signature
     means re-planning, which ``tests/sched/test_fastpath.py`` guards
     against.
@@ -194,6 +209,12 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_allgather_bruck,
         plan_allgather_recursive_doubling,
         plan_allgather_ring,
+        plan_scatter_binomial,
+        plan_allreduce_recursive_doubling,
+        plan_allreduce_rabenseifner,
+        plan_hier_scatter,
+        plan_hier_allgather,
+        plan_hier_allreduce,
     )
     info = {fn.__name__: fn.cache_info() for fn in planners}
     # the DAG engine's lowering cache is the same kind of animal — one
@@ -208,10 +229,4 @@ def planner_cache_info() -> Dict[str, "object"]:
 
 def registry_combinations() -> List[Tuple[str, str]]:
     """Every (library, collective) pair with planner-backed coverage."""
-    combos = [
-        (lib, coll)
-        for lib in ("pip-mcoll", "pip-mcoll-small")
-        for coll in COLLECTIVES
-    ]
-    combos += [("pip-mpich", "allgather"), ("openmpi", "allgather")]
-    return combos
+    return [(lib, coll) for lib in LIBRARIES for coll in COLLECTIVES]

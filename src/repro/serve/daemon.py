@@ -300,7 +300,10 @@ class SweepDaemon:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # shutdown cancels connection tasks, possibly right here;
+                # a task that ends cancelled makes asyncio's stream
+                # callback log a traceback, so end it normally instead
                 pass
 
     async def _dispatch(self, request: dict) -> "tuple[dict, bool]":
@@ -433,7 +436,7 @@ class SweepDaemon:
         If the column is already being evaluated, await that task and
         re-check the cache: an identical or superset request costs zero
         extra work; a partial overlap loops and evaluates only what is
-        still missing.  The loop terminates because each pass either
+        still missing (a finished task is never awaited twice).  The loop terminates because each pass either
         drains ``pending`` from the cache or owns a task that evaluates
         exactly ``pending``.
         """
@@ -441,7 +444,10 @@ class SweepDaemon:
         pending = list(misses)
         while pending:
             task = self._inflight.get(key)
-            if task is None:
+            # a task that finished in this loop iteration stays in the
+            # table until its done-callback runs; awaiting it again would
+            # not yield, so this loop would spin and starve that callback
+            if task is None or task.done():
                 task = asyncio.create_task(
                     self._evaluate_column(list(pending))
                 )

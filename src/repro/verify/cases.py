@@ -79,13 +79,21 @@ _POW2_ONLY = {"allgather_recursive_doubling", "reduce_scatter_halving"}
 _VECTOR = ("scatterv", "gatherv", "allgatherv")
 
 #: planner-backed (library, collective) combos replayed directly through
-#: the ScheduleExecutor (mirrors repro.sched.registry.registry_combinations)
+#: the ScheduleExecutor (the pairs of
+#: repro.sched.registry.registry_combinations, in the order they gained a
+#: planner — append only, like ENTRIES)
 _SCHEDULE_COMBOS = (
     ("pip-mcoll", "scatter"), ("pip-mcoll", "allgather"),
     ("pip-mcoll", "allreduce"),
     ("pip-mcoll-small", "scatter"), ("pip-mcoll-small", "allgather"),
     ("pip-mcoll-small", "allreduce"),
     ("pip-mpich", "allgather"), ("openmpi", "allgather"),
+    ("pip-mpich", "scatter"), ("pip-mpich", "allreduce"),
+    ("openmpi", "scatter"), ("openmpi", "allreduce"),
+    ("mvapich2", "scatter"), ("mvapich2", "allgather"),
+    ("mvapich2", "allreduce"),
+    ("intelmpi", "scatter"), ("intelmpi", "allgather"),
+    ("intelmpi", "allreduce"),
 )
 
 

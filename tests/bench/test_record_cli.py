@@ -18,6 +18,20 @@ def test_records_figure_to_file(tmp_path, capsys, monkeypatch):
     assert "fig06" in capsys.readouterr().out
 
 
+def test_dag_engine_completes_every_figure(capsys):
+    """Every point-backed figure point has a planner, so the DAG engine
+    alone regenerates the whole figure set (fig01 builds its own p2p
+    worlds and ignores the engine)."""
+    from repro.bench.figures import ALL_FIGURES
+
+    rc = main(["--scale", "small", "--engine", "dag", "--no-cache",
+               "--jobs", "1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    for name in ALL_FIGURES:
+        assert f"[{name} done in" in out, name
+
+
 def test_cache_stats_reports_store_shape(capsys):
     rc = main(["--figures", "fig06", "--scale", "small", "--cache-stats"])
     assert rc == 0

@@ -339,6 +339,51 @@ def test_parallel_column_execution_identical(tmp_path):
     assert serial == parallel
 
 
+def test_one_work_queue_per_run_and_no_worker_outlives_it(monkeypatch):
+    """Columns and points of one run share one pool map (columns first,
+    largest first); the pool is gone when ``run`` returns, and the
+    results equal the serial run bit for bit."""
+    import multiprocessing
+
+    pts = [
+        Point(lib, coll, 2, 2, s, engine="auto")
+        for lib in ("PiP-MColl", "MVAPICH2")
+        for coll in ("allgather", "bcast")
+        for s in (64, 1024)
+    ] + [Point("IntelMPI", "scatter", 2, 2, 64, engine="auto")]
+    calls = []
+    original = SweepRunner._map_pool
+
+    def spy(self, fn, items):
+        calls.append([len(u) if isinstance(u, list) else 1 for u in items])
+        return original(self, fn, items)
+
+    monkeypatch.setattr(SweepRunner, "_map_pool", spy)
+    parallel = SweepRunner(jobs=2, use_cache=False).run(pts)
+    assert multiprocessing.active_children() == []
+    # two auto columns of two sizes, then the five point units (the two
+    # bcast columns have no planner and the scatter has one size)
+    assert calls == [[2, 2, 1, 1, 1, 1, 1]]
+    serial = SweepRunner(jobs=1, use_cache=False).run(pts)
+    assert parallel == serial
+    assert [r.samples for r in parallel] == [r.samples for r in serial]
+
+
+def test_point_only_runs_map_points_directly(monkeypatch):
+    """Without columns (the whole event engine) the pool maps the point
+    worker itself, exactly as before the work queue was shared."""
+    seen = []
+    original = SweepRunner._map_pool
+
+    def spy(self, fn, items):
+        seen.append((fn, len(items)))
+        return original(self, fn, items)
+
+    monkeypatch.setattr(SweepRunner, "_map_pool", spy)
+    SweepRunner(jobs=2, use_cache=False, engine="event").run(POINTS)
+    assert seen == [(run_point_spec, len(POINTS))]
+
+
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_lowering_counters_aggregate_across_column_work_units(jobs):
     """Workers are separate processes, so their lowering counters die with

@@ -25,6 +25,8 @@ BENCH_NAME = {
     "pip-mcoll-small": "PiP-MColl-small",
     "pip-mpich": "PiP-MPICH",
     "openmpi": "OpenMPI",
+    "mvapich2": "MVAPICH2",
+    "intelmpi": "IntelMPI",
 }
 
 #: straddles the 16 KB eager/rendezvous default, the hybrid intranode
@@ -92,7 +94,7 @@ def test_hybrid_mechanism_threshold_partitions():
 
 def test_batch_rejects_unsupported_pairs():
     with pytest.raises(ValueError, match="planner-backed"):
-        evaluate_column("OpenMPI", "scatter", 2, 2, (512,))
+        evaluate_column("OpenMPI", "bcast", 2, 2, (512,))
 
 
 def test_batch_rejects_threshold_overrides_without_thresholds():

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.baselines.registry import library_names
 from repro.bench.microbench import resolve_engine, run_point
 from repro.sched.check import check_planned
 from repro.sched.fastpath import (
@@ -33,6 +34,8 @@ BENCH_NAME = {
     "pip-mcoll-small": "PiP-MColl-small",
     "pip-mpich": "PiP-MPICH",
     "openmpi": "OpenMPI",
+    "mvapich2": "MVAPICH2",
+    "intelmpi": "IntelMPI",
 }
 
 SHAPES = ((2, 2), (4, 3))
@@ -94,11 +97,11 @@ def test_auto_resolves_to_dag_only_where_supported():
     assert resolve_engine("auto", "PiP-MColl", "allreduce") == "dag"
     assert resolve_engine("auto", "pip_mcoll", "scatter") == "dag"
     assert resolve_engine("auto", "OpenMPI", "allgather") == "dag"
-    # hierarchical baselines still run as generators
-    assert resolve_engine("auto", "MVAPICH2", "allreduce") == "event"
-    # non-planner-backed collectives of planner-backed libraries
+    assert resolve_engine("auto", "MVAPICH2", "allreduce") == "dag"
+    assert resolve_engine("auto", "OpenMPI", "scatter") == "dag"
+    # collectives without a planner
     assert resolve_engine("auto", "PiP-MColl", "alltoall") == "event"
-    assert resolve_engine("auto", "OpenMPI", "allreduce") == "event"
+    assert resolve_engine("auto", "OpenMPI", "bcast") == "event"
     # tracing always needs the event loop
     assert resolve_engine("auto", "PiP-MColl", "allreduce", tracing=True) \
         == "event"
@@ -114,16 +117,19 @@ def test_auto_resolves_to_dag_only_where_supported():
 def test_fastpath_supported_matches_registry():
     for lib, coll in registry_combinations():
         assert fastpath_supported(BENCH_NAME[lib], coll)
-    assert not fastpath_supported("MVAPICH2", "allreduce")
-    assert not fastpath_supported("PiP-MPICH", "allreduce")
+    for lib in library_names(include_variants=True):
+        for coll in ("scatter", "allgather", "allreduce"):
+            assert fastpath_supported(lib, coll), (lib, coll)
+    assert not fastpath_supported("MVAPICH2", "bcast")
+    assert not fastpath_supported("PiP-MPICH", "alltoall")
     assert not fastpath_supported("PiP-MColl", "bcast")
 
 
 def test_dag_engine_rejects_unsupported_pairs():
     with pytest.raises(ValueError, match="planner-backed"):
-        run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="dag")
+        run_point("MVAPICH2", "bcast", 2, 2, 512, engine="dag")
     with pytest.raises(ValueError, match="planner-backed"):
-        evaluate_point("PiP-MPICH", "scatter", 2, 2, 512)
+        evaluate_point("PiP-MPICH", "alltoall", 2, 2, 512)
 
 
 def test_dag_engine_rejects_tracing():
@@ -135,8 +141,8 @@ def test_dag_engine_rejects_tracing():
 
 
 def test_auto_degrades_to_event_instead_of_raising():
-    result = run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="auto")
-    reference = run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="event")
+    result = run_point("MVAPICH2", "bcast", 2, 2, 512, engine="auto")
+    reference = run_point("MVAPICH2", "bcast", 2, 2, 512, engine="event")
     assert result == reference
 
 
@@ -165,9 +171,28 @@ def test_repeated_points_do_not_replan():
     run_point(*spec, engine="dag")
     run_point(*spec, engine="event")  # executor wrappers share the caches
     after = planner_cache_info()
-    assert set(after) == set(before) and len(after) == 9
+    assert set(after) == set(before) and len(after) == 15
     for name in after:
         assert after[name].misses == before[name].misses, name
     assert sum(i.hits for i in after.values()) > sum(
         i.hits for i in before.values()
     )
+
+
+def test_planner_and_lowering_caches_are_bounded():
+    """A long-lived process (pool worker, serve daemon) visits more
+    distinct points than the caches hold: every cache stays at its cap."""
+    from repro.sched.emit import PLAN_CACHE_SIZE
+    from repro.sched.fastpath import LOWERING_CACHE_SIZE
+
+    for nbytes in range(1, max(PLAN_CACHE_SIZE, LOWERING_CACHE_SIZE) + 9):
+        evaluate_point("PiP-MPICH", "allgather", 1, 2, nbytes)
+    info = planner_cache_info()
+    for name, ci in info.items():
+        cap = LOWERING_CACHE_SIZE if name == "dag_lowering" \
+            else PLAN_CACHE_SIZE
+        assert ci.maxsize == cap, name
+        assert ci.currsize <= cap, name
+    assert info["plan_allgather_recursive_doubling"].currsize == \
+        PLAN_CACHE_SIZE
+    assert info["dag_lowering"].currsize == LOWERING_CACHE_SIZE

@@ -31,6 +31,8 @@ _BENCH_NAME = {
     "pip-mcoll-small": "PiP-MColl-small",
     "pip-mpich": "PiP-MPICH",
     "openmpi": "OpenMPI",
+    "mvapich2": "MVAPICH2",
+    "intelmpi": "IntelMPI",
 }
 
 

@@ -101,3 +101,53 @@ def test_client_cli_shutdown_stops_an_in_process_daemon(tmp_path, capsys):
     assert client_main(["--connect", sock, "--shutdown"]) == 0
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_subprocess_daemon_shuts_down_without_traceback(tmp_path):
+    """Stream clients come and go, then one client reads ``stats`` and
+    asks for shutdown: the daemon exits 0 and logs no traceback (its
+    connection tasks are cancelled at shutdown, possibly mid-close)."""
+    sock = str(tmp_path / "daemon.sock")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        "src" + os.pathsep + env["PYTHONPATH"]
+        if env.get("PYTHONPATH") else "src"
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serve", "--listen", sock,
+            "--jobs", "1", "--flush-interval", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+        ],
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        wait_until_ready(sock, deadline=30.0)
+
+        def stream(scale):
+            with SweepClient(sock) as client:
+                for size in (64, 128, 256):
+                    client.sweep([Point("PiP-MColl", "allgather", 2, 2,
+                                        size * scale, engine="auto")])
+
+        clients = [threading.Thread(target=stream, args=(k,))
+                   for k in (1, 2)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join()
+        with SweepClient(sock) as client:
+            client.stats()
+            client.shutdown()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err, err

@@ -320,3 +320,52 @@ def test_stats_document_shape(tmp_path):
                 "inflight", "active", "uptime_s", "jobs", "pid"):
         assert key in daemon
     assert daemon["inflight"] == 0 and daemon["active"] == 0
+
+
+def test_partial_overlap_never_reawaits_a_finished_column_task(tmp_path):
+    """A column task that finished in the current loop iteration stays
+    in the in-flight table until its done-callback runs.  A request that
+    reaches ``_fetch_column`` in that window and still misses sizes must
+    start its own evaluation: re-awaiting the finished task returns
+    without yielding, so the loop would spin forever."""
+    from repro.bench.microbench import MicrobenchResult
+    from repro.bench.runner.cache import column_key
+
+    daemon = SweepDaemon(str(tmp_path / "daemon.sock"),
+                         cache=ResultCache(tmp_path / "cache"), jobs=0)
+    points = column((64, 1024))
+    key = column_key(points[0])
+    evaluated = []
+
+    async def evaluate(group):
+        evaluated.append([p.msg_bytes for p in group])
+        results = [
+            MicrobenchResult(p.library, p.collective, p.nodes, p.ppn,
+                             p.msg_bytes, 1.0, (1.0,), 0)
+            for p in group
+        ]
+        for p, r in zip(group, results):
+            daemon.cache.put(p, r)
+        return results
+
+    daemon._evaluate_column = evaluate
+    peeks = []
+    peek = daemon.cache.peek
+
+    def counting_peek(point):
+        peeks.append(point.msg_bytes)
+        if len(peeks) > 20:
+            raise RuntimeError("re-awaited a finished column task")
+        return peek(point)
+
+    daemon.cache.peek = counting_peek
+
+    async def scenario():
+        finished = asyncio.get_running_loop().create_future()
+        finished.set_result([])  # covered none of the sizes asked for
+        daemon._inflight[key] = finished
+        return await daemon._fetch_column(key, points)
+
+    got = asyncio.run(scenario())
+    assert sorted(got) == [64, 1024]
+    assert evaluated == [[64, 1024]]
