@@ -50,6 +50,10 @@ from repro.mpi.collectives import (
 from repro.mpi.collectives.group import Group
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.runtime import RankCtx
+from repro.sched.plans.baseline import (
+    MPICH_ALLGATHER_RING_TOTAL,
+    MPICH_ALLREDUCE_RD_MAX,
+)
 from repro.shmem import HybridMechanism, KernelCopy, PipShmem, PosixShmem
 from repro.sim.engine import ProcGen
 from repro.util.intmath import is_power_of
@@ -63,8 +67,7 @@ _US = 1e-6
 def _mpich_allgather(ctx: RankCtx, group: Group, sendbuf: Buffer,
                      recvbuf: Buffer) -> ProcGen:
     """MPICH's default allgather selection (total size + pow2 based)."""
-    total = recvbuf.nbytes
-    if total < 80 * KB:
+    if recvbuf.nbytes < MPICH_ALLGATHER_RING_TOTAL:
         if is_power_of(2, group.size):
             yield from allgather_recursive_doubling(ctx, group, sendbuf, recvbuf)
         else:
@@ -76,7 +79,7 @@ def _mpich_allgather(ctx: RankCtx, group: Group, sendbuf: Buffer,
 def _mpich_allreduce(ctx: RankCtx, group: Group, sendbuf: Buffer,
                      recvbuf: Buffer, op: ReduceOp) -> ProcGen:
     """MPICH's default allreduce selection (2 kB switch)."""
-    if sendbuf.nbytes <= 2 * KB:
+    if sendbuf.nbytes <= MPICH_ALLREDUCE_RD_MAX:
         yield from allreduce_recursive_doubling(ctx, group, sendbuf, recvbuf, op)
     else:
         yield from allreduce_rabenseifner(ctx, group, sendbuf, recvbuf, op)

@@ -357,8 +357,7 @@ class SweepRunner:
         units = col_units + [points[i] for i in pending]
         try:
             if self.jobs > 1 and len(units) > 1:
-                fn = run_work_unit if columns else run_point_spec
-                computed = iter(self._map_pool(fn, units))
+                computed = iter(self._map_pool(run_work_unit, units))
             else:
                 computed = map(run_work_unit, units)
             # zip stops at the exhausted column list without advancing

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.hw.params import MachineParams
 from repro.models.hockney import HockneyParams
+from repro.sched.plans.baseline import MPICH_ALLGATHER_RING_TOTAL
 
 __all__ = [
     "scatter_time",
@@ -34,7 +35,6 @@ __all__ = [
     "allreduce_small_refined",
     "allreduce_large_refined",
     "flat_allgather_refined",
-    "MPICH_RING_TOTAL_BYTES",
 ]
 
 
@@ -123,13 +123,10 @@ def allreduce_large_time(h: HockneyParams, cb: int, n: int, p: int) -> float:
 #
 # Every function is a numpy ufunc over ``cb`` (scalar in, scalar out; array
 # in, array out) so the analytic engine can evaluate a whole size axis in
-# one vectorized pass.  MPICH's flat-allgather selection constant lives here
-# so the analytic tier and the registry agree on the switch point.
+# one vectorized pass.  MPICH's flat-allgather switch point is the planners'
+# ``MPICH_ALLGATHER_RING_TOTAL``, so the analytic tier and the schedules
+# agree on it.
 # ---------------------------------------------------------------------------
-
-#: MPICH flat allgather switches to ring at this *total* receive size
-#: (must match repro.sched.registry._MPICH_ALLGATHER_RING_TOTAL)
-MPICH_RING_TOTAL_BYTES = 80 * 1024
 
 
 @dataclass(frozen=True)
@@ -291,4 +288,4 @@ def flat_allgather_refined(ap: AnalyticParams, cb, n: int, p: int):
     # -- ring phase ------------------------------------------------------
     ring_t = (R - 1) * (h.a_e / 2 + cb * b_inj)
     total = R * cb
-    return np.where(total < MPICH_RING_TOTAL_BYTES, log_t, ring_t)
+    return np.where(total < MPICH_ALLGATHER_RING_TOTAL, log_t, ring_t)

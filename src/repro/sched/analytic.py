@@ -42,7 +42,6 @@ import numpy as np
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams, bebop_broadwell
 from repro.models.formulas import (
-    MPICH_RING_TOTAL_BYTES,
     AnalyticParams,
     allgather_refined,
     allreduce_large_refined,
@@ -50,6 +49,7 @@ from repro.models.formulas import (
     flat_allgather_refined,
     scatter_refined,
 )
+from repro.sched.plans.baseline import MPICH_ALLGATHER_RING_TOTAL
 
 __all__ = [
     "ANALYTIC_PAIRS",
@@ -83,12 +83,7 @@ def _canon(name: str) -> str:
 
 def analytic_supported(library: str, collective: str) -> bool:
     """True when the pair has a closed form (:data:`ANALYTIC_PAIRS`)."""
-    lib = _canon(library)
-    if lib in _MCOLL:
-        return collective in ("scatter", "allgather", "allreduce")
-    if lib in _FLAT:
-        return collective == "allgather"
-    return False
+    return (_canon(library), collective) in ANALYTIC_PAIRS
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def _regime_ids(
             return (sizes >= thr.allreduce_large_bytes).astype(int)
         return np.zeros(len(sizes), dtype=int)
     total = nodes * ppn * sizes
-    ring = total >= MPICH_RING_TOTAL_BYTES
+    ring = total >= MPICH_ALLGATHER_RING_TOTAL
     return ring.astype(int)
 
 

@@ -26,9 +26,6 @@ from repro.sched.plans.baseline import (
     plan_allgather_ring,
     plan_allreduce_rabenseifner,
     plan_allreduce_recursive_doubling,
-    plan_bcast_binomial,
-    plan_gather_binomial,
-    plan_reduce_binomial,
     plan_scatter_binomial,
 )
 from repro.sched.plans.hierarchical import (
@@ -57,9 +54,6 @@ __all__ = [
     "plan_allgather_ring",
     "plan_allreduce_rabenseifner",
     "plan_allreduce_recursive_doubling",
-    "plan_bcast_binomial",
-    "plan_gather_binomial",
-    "plan_reduce_binomial",
     "plan_scatter_binomial",
     "plan_hier_allgather",
     "plan_hier_allreduce",

@@ -26,7 +26,9 @@ buffer names of composed building blocks apart.
 
 The ``plan_*`` functions wrap one emitter into a standalone schedule whose
 programs are indexed by group index, with inputs bound as ``"send"`` /
-``"recv"`` (``"buf"`` for the broadcast) and the tag as ``Sym("tag")``.
+``"recv"`` and the tag as ``Sym("tag")``: the allgathers, the allreduces
+and the scatter, which back the flat libraries' pairs.  Gather, broadcast
+and reduce only run inside the hierarchical compositions, as emitters.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ __all__ = [
     "plan_allreduce_rabenseifner",
     "plan_mpich_allreduce",
     "plan_scatter_binomial",
-    "plan_gather_binomial",
-    "plan_bcast_binomial",
-    "plan_reduce_binomial",
 ]
 
 _TAG = Sym("tag")
@@ -71,10 +70,11 @@ _SEND = BufRef("send")
 _RECV = BufRef("recv")
 
 #: MPICH's flat allgather switches to the ring at this *total* receive
-#: size (``repro.baselines.libraries._mpich_allgather``)
+#: size.  The one definition of the switch: the generators
+#: (``repro.baselines.libraries``) and the analytic formulas import it.
 MPICH_ALLGATHER_RING_TOTAL = 80 * KB
 #: MPICH's allreduce runs recursive doubling up to and including this
-#: per-process size, Rabenseifner above (``_mpich_allreduce``)
+#: per-process size, Rabenseifner above (imported likewise)
 MPICH_ALLREDUCE_RD_MAX = 2 * KB
 
 
@@ -317,12 +317,19 @@ def emit_allreduce_rabenseifner(
     _emit_fold_out(em, ranks, me, rem, recv, tag)
 
 
+def _mpich_allreduce_algorithm(count: int) -> str:
+    """MPICH's default allreduce selection (the 2 kB switch)."""
+    if count <= MPICH_ALLREDUCE_RD_MAX:
+        return "recursive-doubling"
+    return "rabenseifner"
+
+
 def emit_mpich_allreduce(
     em: Emitter, ranks: Tuple[int, ...], me: int, send: BufRef,
     recv: BufRef, count: int, tag, prefix: str = "",
 ) -> None:
-    """MPICH's default allreduce selection (the 2 kB switch)."""
-    if count <= MPICH_ALLREDUCE_RD_MAX:
+    """The allreduce MPICH's selection picks for this size."""
+    if _mpich_allreduce_algorithm(count) == "recursive-doubling":
         emit_allreduce_recursive_doubling(
             em, ranks, me, send, recv, count, tag, prefix
         )
@@ -599,8 +606,9 @@ def plan_allreduce_rabenseifner(
 
 
 def plan_mpich_allreduce(ranks: Tuple[int, ...], count: int) -> Schedule:
-    """The allreduce schedule MPICH's selection picks (the 2 kB switch)."""
-    if count <= MPICH_ALLREDUCE_RD_MAX:
+    """The allreduce schedule MPICH's selection picks (one of the two
+    memoized planners above)."""
+    if _mpich_allreduce_algorithm(count) == "recursive-doubling":
         return plan_allreduce_recursive_doubling(ranks, count)
     return plan_allreduce_rabenseifner(ranks, count)
 
@@ -614,48 +622,6 @@ def plan_scatter_binomial(
         ranks, f"scatter-binomial g{len(ranks)} c{count} r{root_index}",
         lambda em, me: emit_scatter_binomial(
             em, ranks, me, _SEND if me == root_index else None, _RECV,
-            count, root_index, _TAG,
-        ),
-    )
-
-
-@planner_cache
-def plan_gather_binomial(
-    ranks: Tuple[int, ...], count: int, root_index: int = 0
-) -> Schedule:
-    """Binomial gather; only the root binds ``"recv"``."""
-    return _group_schedule(
-        ranks, f"gather-binomial g{len(ranks)} c{count} r{root_index}",
-        lambda em, me: emit_gather_binomial(
-            em, ranks, me, _SEND, _RECV if me == root_index else None,
-            count, root_index, _TAG,
-        ),
-    )
-
-
-@planner_cache
-def plan_bcast_binomial(
-    ranks: Tuple[int, ...], count: int, root_index: int = 0
-) -> Schedule:
-    """Binomial broadcast of every member's ``"buf"`` (``count`` is only
-    part of the label: the steps reference whole buffers)."""
-    return _group_schedule(
-        ranks, f"bcast-binomial g{len(ranks)} c{count} r{root_index}",
-        lambda em, me: emit_bcast_binomial(
-            em, ranks, me, BufRef("buf"), root_index, _TAG
-        ),
-    )
-
-
-@planner_cache
-def plan_reduce_binomial(
-    ranks: Tuple[int, ...], count: int, root_index: int = 0
-) -> Schedule:
-    """Binomial reduce; only the root binds ``"recv"``."""
-    return _group_schedule(
-        ranks, f"reduce-binomial g{len(ranks)} c{count} r{root_index}",
-        lambda em, me: emit_reduce_binomial(
-            em, ranks, me, _SEND, _RECV if me == root_index else None,
             count, root_index, _TAG,
         ),
     )

@@ -370,18 +370,20 @@ def test_one_work_queue_per_run_and_no_worker_outlives_it(monkeypatch):
 
 
 def test_point_only_runs_map_points_directly(monkeypatch):
-    """Without columns (the whole event engine) the pool maps the point
-    worker itself, exactly as before the work queue was shared."""
+    """Without columns (the whole event engine) the run is one pool map
+    over exactly its points, one unit per point."""
     seen = []
     original = SweepRunner._map_pool
 
     def spy(self, fn, items):
-        seen.append((fn, len(items)))
+        seen.append(list(items))
         return original(self, fn, items)
 
     monkeypatch.setattr(SweepRunner, "_map_pool", spy)
     SweepRunner(jobs=2, use_cache=False, engine="event").run(POINTS)
-    assert seen == [(run_point_spec, len(POINTS))]
+    assert len(seen) == 1
+    assert len(seen[0]) == len(POINTS)
+    assert all(isinstance(unit, Point) for unit in seen[0])
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

@@ -37,12 +37,14 @@ from repro.hw.params import bebop_broadwell
 from repro.hw.topology import Topology
 from repro.sched.executor import ScheduleExecutor
 from repro.sched.fastpath import fastpath_supported
+from repro.sched.ir import BufRef, Sym
 from repro.sched.plans.baseline import (
+    _group_schedule,
+    emit_bcast_binomial,
+    emit_gather_binomial,
+    emit_reduce_binomial,
     plan_allreduce_rabenseifner,
     plan_allreduce_recursive_doubling,
-    plan_bcast_binomial,
-    plan_gather_binomial,
-    plan_reduce_binomial,
     plan_scatter_binomial,
 )
 from repro.shmem import HybridMechanism, KernelCopy, PosixShmem
@@ -156,11 +158,32 @@ def _block_buffers(collective, size, count, root):
     return out
 
 
+_TAG, _SEND, _RECV = Sym("tag"), BufRef("send"), BufRef("recv")
+
+
+def _plan_gather(ranks, count, root):
+    return _group_schedule(ranks, "gather", lambda em, me: emit_gather_binomial(
+        em, ranks, me, _SEND, _RECV if me == root else None, count, root, _TAG,
+    ))
+
+
+def _plan_bcast(ranks, count, root):
+    return _group_schedule(ranks, "bcast", lambda em, me: emit_bcast_binomial(
+        em, ranks, me, BufRef("buf"), root, _TAG,
+    ))
+
+
+def _plan_reduce(ranks, count, root):
+    return _group_schedule(ranks, "reduce", lambda em, me: emit_reduce_binomial(
+        em, ranks, me, _SEND, _RECV if me == root else None, count, root, _TAG,
+    ))
+
+
 _BLOCKS = {
     "scatter": (scatter_binomial, plan_scatter_binomial),
-    "gather": (gather_binomial, plan_gather_binomial),
-    "bcast": (bcast_binomial, plan_bcast_binomial),
-    "reduce": (reduce_binomial, plan_reduce_binomial),
+    "gather": (gather_binomial, _plan_gather),
+    "bcast": (bcast_binomial, _plan_bcast),
+    "reduce": (reduce_binomial, _plan_reduce),
     "allreduce-rd": (allreduce_recursive_doubling,
                      plan_allreduce_recursive_doubling),
     "allreduce-rabenseifner": (allreduce_rabenseifner,
